@@ -28,6 +28,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use crate::bytes::Fnv1a;
 use crate::csr::BipartiteCsr;
 use crate::VertexId;
 
@@ -39,28 +40,6 @@ pub const VERSION: u32 = 1;
 pub const ENDIAN_TAG: u32 = 0x0102_0304;
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 56;
-
-/// Streaming FNV-1a over little-endian `u64` words — bit-identical to
-/// `receipt::dynamic::fnv1a_u64` (which this crate cannot depend on).
-#[derive(Debug, Clone)]
-pub(crate) struct Fnv1a(u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn word(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Why a binary graph could not be read or written. Path-level entry
 /// points wrap causes in [`BinError::File`] so every user-facing message

@@ -1,4 +1,5 @@
-//! Fail-closed little-endian reads for the durable formats.
+//! Fail-closed little-endian reads and the FNV-1a checksum for the
+//! durable formats.
 //!
 //! Every decode in the durable modules (`bigraph::binfmt`,
 //! `receipt::wal`, `receipt::version`) must surface a short or torn
@@ -24,6 +25,40 @@ pub fn le_u32_at(bytes: &[u8], pos: usize) -> Option<u32> {
 /// Little-endian `u64` at `pos`, or `None` past the end.
 pub fn le_u64_at(bytes: &[u8], pos: usize) -> Option<u64> {
     array_at(bytes, pos).map(u64::from_le_bytes)
+}
+
+/// Streaming 64-bit FNV-1a over little-endian `u64` words: the checksum
+/// of every durable format (`.bgr` header and body, WAL records,
+/// `checkpoint.meta`, `versions.meta`) and the tip-number digests in
+/// reports (`receipt::dynamic::fnv1a_u64` folds a slice through it).
+#[derive(Debug, Clone)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A digest at the FNV-1a offset basis (the hash of no words).
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `value`'s eight little-endian bytes into the digest.
+    #[inline]
+    pub fn word(&mut self, value: u64) {
+        for byte in value.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of every word folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]

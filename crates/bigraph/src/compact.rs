@@ -36,7 +36,11 @@ pub fn compact(g: &BipartiteCsr, alive_u: &[bool], alive_v: &[bool]) -> Bipartit
     BipartiteCsr::from_parts(u_offsets, u_adj, v_offsets, v_adj)
 }
 
-fn compact_one_side<'a>(
+/// The one order-preserving adjacency filter: keeps the neighbours of every
+/// live vertex that are themselves alive, in list order. Both the plain CSR
+/// compaction above and [`crate::RankedGraph::compact`] (whose lists are
+/// rank-sorted) call it, so CD's and FD's DGM compactions share one routine.
+pub(crate) fn compact_one_side<'a>(
     n: usize,
     neighbors: impl Fn(VertexId) -> &'a [VertexId] + Sync,
     self_alive: impl Fn(VertexId) -> bool + Sync,

@@ -27,7 +27,8 @@
 //! * [`binfmt`] — the checksummed fixed-width binary graph image
 //!   (`.bgr`) specified in `FORMATS.md` §1.
 //! * [`bytes`] — fail-closed little-endian reads shared by every durable
-//!   decoder (`FORMATS.md` §2: corrupt input errors, never panics).
+//!   decoder (`FORMATS.md` §2: corrupt input errors, never panics), and
+//!   the one FNV-1a checksum every durable format and tip digest uses.
 //! * [`mod@derive`] — set-algebraic union/difference over whole graphs
 //!   (`VERSIONING.md` §6), the non-induced half of `tipdecomp derive`.
 //! * [`stats`] — wedge counts and the peel/re-count cost model behind the

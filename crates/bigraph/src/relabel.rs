@@ -8,6 +8,7 @@
 //! ids but materialize a *global rank* over `W = U ∪ V` (rank 0 = highest
 //! degree) and adjacency copies sorted by neighbour rank.
 
+use crate::compact::compact_one_side;
 use crate::csr::BipartiteCsr;
 use crate::VertexId;
 use rayon::prelude::*;
@@ -146,13 +147,13 @@ impl RankedGraph {
     pub fn compact(&self, alive_u: &[bool], alive_v: &[bool]) -> RankedGraph {
         assert_eq!(alive_u.len(), self.nu);
         assert_eq!(alive_v.len(), self.nv);
-        let (u_offsets, u_adj) = compact_side(
+        let (u_offsets, u_adj) = compact_one_side(
             self.nu,
             |u| self.neighbors_u(u),
             |u| alive_u[u as usize],
             |v| alive_v[v as usize],
         );
-        let (v_offsets, v_adj) = compact_side(
+        let (v_offsets, v_adj) = compact_one_side(
             self.nv,
             |v| self.neighbors_v(v),
             |v| alive_v[v as usize],
@@ -169,52 +170,6 @@ impl RankedGraph {
             v_adj,
         }
     }
-}
-
-/// Order-preserving adjacency filter (parallel two-pass, mirrors
-/// `crate::compact`).
-fn compact_side<'a>(
-    n: usize,
-    neighbors: impl Fn(VertexId) -> &'a [VertexId] + Sync,
-    self_alive: impl Fn(VertexId) -> bool + Sync,
-    other_alive: impl Fn(VertexId) -> bool + Sync,
-) -> (Vec<usize>, Vec<VertexId>) {
-    let mut counts: Vec<u64> = (0..n as VertexId)
-        .into_par_iter()
-        .map(|x| {
-            if !self_alive(x) {
-                return 0;
-            }
-            neighbors(x).iter().filter(|&&y| other_alive(y)).count() as u64
-        })
-        .collect();
-    counts.push(0);
-    let total = parutil::par_exclusive_prefix_sum(&mut counts) as usize;
-    let offsets: Vec<usize> = counts.iter().map(|&c| c as usize).collect();
-    let mut adj = vec![0 as VertexId; total];
-    let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(n);
-    {
-        let mut rest: &mut [VertexId] = &mut adj;
-        for x in 0..n {
-            let (head, tail) = rest.split_at_mut(offsets[x + 1] - offsets[x]);
-            slices.push(head);
-            rest = tail;
-        }
-    }
-    slices.into_par_iter().enumerate().for_each(|(x, out)| {
-        if out.is_empty() {
-            return;
-        }
-        let mut w = 0;
-        for &y in neighbors(x as VertexId) {
-            if other_alive(y) {
-                out[w] = y;
-                w += 1;
-            }
-        }
-        debug_assert_eq!(w, out.len());
-    });
-    (offsets, adj)
 }
 
 #[cfg(test)]

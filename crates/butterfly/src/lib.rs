@@ -22,7 +22,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod approx;
 pub mod count;
 pub mod dynamic;
 pub mod intersect;

@@ -1,7 +1,10 @@
 //! Implementation of the `tipdecomp` command-line tool.
 //!
 //! Lives in a library so the argument parsing and command execution are
-//! unit-testable; `main.rs` is a thin shim.
+//! unit-testable; `main.rs` is a thin shim. Every subcommand declares its
+//! arguments once, in the option table `SPECS`; [`parse`] scans a command
+//! line against its entry and builds the typed [`Command`], and [`run`]
+//! executes it, writing each result once.
 
 #![forbid(unsafe_code)]
 
@@ -10,12 +13,13 @@ use receipt::engine::{EngineOptions, StreamEngine};
 use receipt::report::{ServeResponse, ServeSessionReport, ServeStats, TopKEntry};
 use receipt::{hierarchy, Config};
 use std::io::{BufRead, Write};
+use std::path::Path;
+use std::time::Instant;
 
-/// Parsed command line.
+/// Parsed command line. `USAGE` gives each subcommand's syntax.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `tip <input> [--side U|V] [--partitions N] [--threads N]
-    /// [--no-huc] [--no-dgm] [--output FILE] [--json] [--stats]`
+    /// RECEIPT tip decomposition of one side.
     Tip {
         input: String,
         side: Side,
@@ -24,7 +28,8 @@ pub enum Command {
         json: bool,
         stats: bool,
     },
-    /// `wing <input> [--side U|V] [--partitions N] [--output FILE] [--json]`
+    /// Wing (edge) decomposition: sequential, or RECEIPT-style with `P`
+    /// partitions when `partitions > 0`.
     Wing {
         input: String,
         side: Side,
@@ -32,34 +37,25 @@ pub enum Command {
         output: Option<String>,
         json: bool,
     },
-    /// `count <input> [--output FILE] [--json]`
+    /// Per-vertex butterfly counts of both sides.
     Count {
         input: String,
         output: Option<String>,
         json: bool,
     },
-    /// `stream <input> <ops> [--side U|V] [--dirty-threshold F]
-    /// [--compact-threshold F] [--verify] [--output FILE] [--json]`
+    /// Replays batches of edge updates through a [`StreamEngine`].
     Stream {
         input: String,
         ops: String,
         side: Side,
-        config: Config,
-        dirty_threshold: f64,
-        compact_threshold: f64,
-        verify: bool,
+        options: EngineOptions,
         output: Option<String>,
         json: bool,
     },
-    /// `serve <input> [--dirty-threshold F] [--compact-threshold F]
-    /// [--verify] [--requests FILE] [--socket PATH] [--output FILE]
-    /// [--wal DIR] [--checkpoint-every N]`
+    /// Keeps a [`StreamEngine`] resident and answers framed requests.
     Serve {
         input: String,
-        config: Config,
-        dirty_threshold: f64,
-        compact_threshold: f64,
-        verify: bool,
+        options: EngineOptions,
         /// Scripted session: newline-delimited JSON requests; the run
         /// emits one `serve-session` report document instead of framing.
         requests: Option<String>,
@@ -74,8 +70,8 @@ pub enum Command {
         /// Fold a fresh checkpoint every N durable batches (0 = never).
         checkpoint_every: u64,
     },
-    /// `convert <input> <output> [--from text|binary] [--to text|binary]
-    /// [--json]` — formats inferred from `.bgr` extensions when not given.
+    /// Text ↔ `.bgr` conversion; formats follow the extensions unless
+    /// `from`/`to` (`"text"` or `"binary"`) say otherwise.
     Convert {
         input: String,
         output: String,
@@ -83,17 +79,14 @@ pub enum Command {
         to: Option<String>,
         json: bool,
     },
-    /// `recover <dir> [--json] [--output FILE]` — open a durable store,
-    /// repair a torn WAL tail, replay past the checkpoint, verify against
-    /// the from-scratch oracle.
+    /// Opens a durable store, repairs a torn WAL tail, replays past the
+    /// checkpoint and verifies against the from-scratch oracle.
     Recover {
         dir: String,
         json: bool,
         output: Option<String>,
     },
-    /// `version <tag|list|diff|at> <dir> [names..] [--verify]
-    /// [--dump FILE] [--json] [--output FILE]` — named versions over a
-    /// durable store (`VERSIONING.md`).
+    /// Named versions over a durable store (`VERSIONING.md`).
     Version {
         /// `"tag"`, `"list"`, `"diff"`, or `"at"`.
         op: String,
@@ -108,32 +101,30 @@ pub enum Command {
         json: bool,
         output: Option<String>,
     },
-    /// `derive <subgraph|union|diff> <a> [<b>] [--ids LIST] [--side U|V]
-    /// --output FILE [--json]` — set-algebraic graph construction
-    /// (`VERSIONING.md` §6).
+    /// Set-algebraic graph construction (`VERSIONING.md` §6).
     Derive {
         /// `"subgraph"`, `"union"`, or `"diff"`.
         op: String,
         a: String,
         /// Second input (`union`/`diff`).
         b: Option<String>,
-        /// Comma-separated primary-side ids (`subgraph`).
+        /// Primary-side ids to induce on (`subgraph`).
         ids: Vec<u32>,
         side: Side,
         output: String,
         json: bool,
     },
-    /// `ktips <input> -k N [--side U|V]`
+    /// Connected k-tip components.
     KTips {
         input: String,
         side: Side,
         k: u64,
     },
-    /// `stats <input>`
+    /// Size, degree, butterfly and wedge statistics.
     Stats {
         input: String,
     },
-    /// `generate <preset> [--output FILE]` — emit a dataset analog.
+    /// Emits a dataset analog.
     Generate {
         preset: String,
         output: Option<String>,
@@ -182,17 +173,19 @@ USAGE:
   tipdecomp wing <edges.tsv>  [--side U|V] [--partitions N] [--output FILE]
                               [--json]
   tipdecomp count <edges.tsv> [--output FILE] [--json]
-  tipdecomp stream <edges.tsv> <ops.txt> [--side U|V] [--dirty-threshold F]
+  tipdecomp stream <edges.tsv> <ops.txt> [--side U|V] [--partitions N]
+                              [--threads N] [--dirty-threshold F]
                               [--compact-threshold F] [--verify]
                               [--output FILE] [--json]
-  tipdecomp serve <edges.tsv> [--dirty-threshold F] [--compact-threshold F]
+  tipdecomp serve <edges.tsv> [--partitions N] [--threads N]
+                              [--dirty-threshold F] [--compact-threshold F]
                               [--verify] [--requests FILE] [--socket PATH]
                               [--output FILE] [--wal DIR]
                               [--checkpoint-every N]
   tipdecomp convert <in> <out> [--from text|binary] [--to text|binary]
                               [--json]
   tipdecomp recover <dir>     [--json] [--output FILE]
-  tipdecomp version tag  <dir> <name>      [--json]
+  tipdecomp version tag  <dir> <name>      [--json] [--output FILE]
   tipdecomp version list <dir>             [--json] [--output FILE]
   tipdecomp version diff <dir> <a> <b>     [--json] [--output FILE]
   tipdecomp version at   <dir> <name>      [--verify] [--dump FILE]
@@ -205,6 +198,9 @@ USAGE:
   tipdecomp stats <edges.tsv>
   tipdecomp generate <It|De|Or|Lj|En|Tr> [--output FILE]
 
+Options may come in any order, before or after the positional arguments.
+An option the subcommand does not list, an option missing its value, or a
+missing or extra positional argument is a usage error (exit 2).
 Input: whitespace-separated `u v` pairs; `%`/`#` comments ignored; a
 `% m nu nv` header pins side sizes and 0-based ids, otherwise 1-based
 ids are auto-detected (KONECT format).
@@ -245,294 +241,401 @@ Output: `--json` emits a versioned report document (see README, \"JSON
 output\") instead of TSV; `--out` is an alias for `--output`.
 ";
 
-/// Positional (non-flag) arguments, skipping the value of every option
-/// in `value_opts` so `--output FILE` and friends are not mistaken for
-/// inputs. Used by the multi-positional subcommands (`version`,
-/// `derive`).
-fn positionals(rest: &[&String], value_opts: &[&str]) -> Vec<String> {
-    rest.iter()
-        .enumerate()
-        .filter(|(i, s)| {
-            !s.starts_with('-') && (*i == 0 || !value_opts.contains(&rest[i - 1].as_str()))
+/// One entry of the option table: what a subcommand — or one operation
+/// of `version`/`derive` — accepts.
+struct Spec {
+    /// The words that select the entry: `"tip"`, or `"version at"`.
+    name: &'static str,
+    /// Required positional arguments, in order, as the "needs" error
+    /// names them.
+    positionals: &'static [&'static str],
+    /// Options that take a value. `--out` is accepted wherever
+    /// `--output` is.
+    values: &'static [&'static str],
+    /// Options that take none.
+    flags: &'static [&'static str],
+}
+
+const fn spec(
+    name: &'static str,
+    positionals: &'static [&'static str],
+    values: &'static [&'static str],
+    flags: &'static [&'static str],
+) -> Spec {
+    Spec {
+        name,
+        positionals,
+        values,
+        flags,
+    }
+}
+
+impl Spec {
+    /// The subcommand word and the operation word (empty if none).
+    fn words(&self) -> (&'static str, &'static str) {
+        self.name.split_once(' ').unwrap_or((self.name, ""))
+    }
+
+    fn takes_value(&self, option: &str) -> bool {
+        let alias = option == "--out" && self.values.contains(&"--output");
+        alias || self.values.contains(&option)
+    }
+
+    fn accepts(&self, option: &str) -> bool {
+        self.takes_value(option) || self.flags.contains(&option)
+    }
+}
+
+const INPUT: &[&str] = &["an input file"];
+const STORE: &[&str] = &["a store directory"];
+const STORE_TAG: &[&str] = &["a store directory", "a tag name"];
+const TWO_GRAPHS: &[&str] = &["an input graph", "a second input graph"];
+const OUT: &[&str] = &["--output"];
+const JSON: &[&str] = &["--json"];
+
+/// The option table: every argument `tipdecomp` accepts, declared once.
+/// Columns: name, positionals, options with a value, flags.
+const SPECS: &[Spec] = &[
+    spec(
+        "tip",
+        INPUT,
+        &["--side", "--partitions", "--threads", "--output"],
+        &["--no-huc", "--no-dgm", "--json", "--stats"],
+    ),
+    spec("wing", INPUT, &["--side", "--partitions", "--output"], JSON),
+    spec("count", INPUT, OUT, JSON),
+    spec(
+        "stream",
+        &["a graph file", "an ops file"],
+        &[
+            "--side",
+            "--partitions",
+            "--threads",
+            "--dirty-threshold",
+            "--compact-threshold",
+            "--output",
+        ],
+        &["--verify", "--json"],
+    ),
+    spec(
+        "serve",
+        INPUT,
+        &[
+            "--partitions",
+            "--threads",
+            "--dirty-threshold",
+            "--compact-threshold",
+            "--requests",
+            "--socket",
+            "--output",
+            "--wal",
+            "--checkpoint-every",
+        ],
+        &["--verify"],
+    ),
+    spec(
+        "convert",
+        &["an input file", "an output file"],
+        &["--from", "--to"],
+        JSON,
+    ),
+    spec("recover", STORE, OUT, JSON),
+    spec("version tag", STORE_TAG, OUT, JSON),
+    spec("version list", STORE, OUT, JSON),
+    spec(
+        "version diff",
+        &["a store directory", "a tag name", "a second tag name"],
+        OUT,
+        JSON,
+    ),
+    spec(
+        "version at",
+        STORE_TAG,
+        &["--dump", "--output"],
+        &["--verify", "--json"],
+    ),
+    spec(
+        "derive subgraph",
+        &["an input graph"],
+        &["--ids", "--side", "--output"],
+        JSON,
+    ),
+    spec("derive union", TWO_GRAPHS, OUT, JSON),
+    spec("derive diff", TWO_GRAPHS, OUT, JSON),
+    spec("ktips", INPUT, &["-k", "--side"], &[]),
+    spec("stats", INPUT, &[], &[]),
+    spec("generate", &["a preset name"], OUT, &[]),
+];
+
+/// A command line scanned against its table entry.
+struct Args {
+    spec: &'static Spec,
+    /// Positional arguments after the `version`/`derive` operation word.
+    positionals: Vec<String>,
+    /// Options in command-line order; flags carry no value.
+    options: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Scans `rest` (everything after the subcommand word `cmd`). Options
+    /// may come in any position; the first option the entry does not
+    /// declare, a value option without a value, and a missing or extra
+    /// positional are usage errors.
+    fn scan(cmd: &str, rest: &[String]) -> Result<Args, UsageError> {
+        let entries: Vec<&'static Spec> = SPECS.iter().filter(|s| s.words().0 == cmd).collect();
+        if entries.is_empty() {
+            return Err(UsageError(format!("unknown command {cmd:?}")));
+        }
+        let mut positionals = Vec::new();
+        let mut options = Vec::new();
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                positionals.push(arg.clone());
+                continue;
+            }
+            // Whether an option takes a value is the same in every entry
+            // of one subcommand, so it is known before the operation is.
+            let mut value = None;
+            if entries.iter().any(|s| s.takes_value(arg)) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => value = Some(v.clone()),
+                    _ => return Err(UsageError(format!("{arg} needs a value"))),
+                }
+            }
+            options.push((arg.clone(), value));
+        }
+        let spec = match entries.as_slice() {
+            [only] => only,
+            _ => {
+                // `version`/`derive`: the first positional picks the entry.
+                let ops: Vec<&str> = entries.iter().map(|s| s.words().1).collect();
+                let ops = ops.join(", ");
+                if positionals.is_empty() {
+                    return Err(UsageError(format!("`{cmd}` needs an operation: {ops}")));
+                }
+                let op = positionals.remove(0);
+                entries
+                    .iter()
+                    .find(|s| s.words().1 == op)
+                    .ok_or_else(|| UsageError(format!("unknown {cmd} operation {op:?} ({ops})")))?
+            }
+        };
+        if let Some((option, _)) = options.iter().find(|(o, _)| !spec.accepts(o)) {
+            return Err(UsageError(format!(
+                "unknown option {option} for `{}`",
+                spec.name
+            )));
+        }
+        let want = spec.positionals;
+        if let Some(missing) = want.get(positionals.len()..).filter(|m| !m.is_empty()) {
+            return Err(UsageError(format!(
+                "`{}` needs {}",
+                spec.name,
+                missing.join(" and ")
+            )));
+        }
+        if let Some(extra) = positionals.get(want.len()) {
+            return Err(UsageError(format!(
+                "unexpected argument {extra:?} for `{}`",
+                spec.name
+            )));
+        }
+        Ok(Args {
+            spec,
+            positionals,
+            options,
         })
-        .map(|(_, s)| s.to_string())
-        .collect()
+    }
+
+    fn positional(&self, i: usize) -> String {
+        self.positionals[i].clone()
+    }
+
+    fn flag(&self, name: &str) -> bool {
+        self.options.iter().any(|(o, _)| o == name)
+    }
+
+    /// The first value given for `name`; `--out` stands in for a missing
+    /// `--output`.
+    fn value(&self, name: &str) -> Option<String> {
+        let first = |n: &str| {
+            let (_, value) = self.options.iter().find(|(o, _)| o == n)?;
+            value.clone()
+        };
+        match first(name) {
+            None if name == "--output" => first("--out"),
+            given => given,
+        }
+    }
+
+    /// The value of `name` parsed as a `T`, if given.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, UsageError> {
+        let parse = |s: String| {
+            s.parse()
+                .map_err(|_| UsageError(format!("invalid value {s:?} for {name}")))
+        };
+        self.value(name).map(parse).transpose()
+    }
+
+    fn required<T: std::str::FromStr>(&self, name: &str) -> Result<T, UsageError> {
+        self.parsed(name)?
+            .ok_or_else(|| UsageError(format!("`{}` needs {name}", self.spec.name)))
+    }
+
+    fn side(&self) -> Result<Side, UsageError> {
+        match self
+            .value("--side")
+            .map(|s| s.to_ascii_uppercase())
+            .as_deref()
+        {
+            None | Some("U") => Ok(Side::U),
+            Some("V") => Ok(Side::V),
+            Some(s) => Err(UsageError(format!("--side expects U or V, got {s:?}"))),
+        }
+    }
+
+    /// `--from`/`--to` of `convert`: `text` or `binary`, any case.
+    fn format(&self, name: &str) -> Result<Option<String>, UsageError> {
+        match self.value(name).map(|s| s.to_ascii_lowercase()) {
+            Some(s) if s != "text" && s != "binary" => Err(UsageError(format!(
+                "{name} expects text or binary, got {s:?}"
+            ))),
+            format => Ok(format),
+        }
+    }
+
+    /// The decomposition knobs: `--partitions`, `--threads`, and the
+    /// `--no-huc`/`--no-dgm` ablations where the entry declares them.
+    fn config(&self) -> Result<Config, UsageError> {
+        let mut config = Config::default();
+        config.partitions = self.parsed("--partitions")?.unwrap_or(config.partitions);
+        config.threads = self.parsed("--threads")?.unwrap_or(config.threads);
+        config.huc = !self.flag("--no-huc");
+        config.dgm = !self.flag("--no-dgm");
+        Ok(config)
+    }
+
+    /// The engine settings of `stream` and `serve`.
+    fn engine_options(&self) -> Result<EngineOptions, UsageError> {
+        let defaults = EngineOptions::default();
+        Ok(EngineOptions {
+            config: self.config()?,
+            dirty_threshold: self
+                .parsed("--dirty-threshold")?
+                .unwrap_or(defaults.dirty_threshold),
+            compact_threshold: self
+                .parsed("--compact-threshold")?
+                .unwrap_or(defaults.compact_threshold),
+            verify: self.flag("--verify"),
+        })
+    }
 }
 
 /// Parses `args` (without the binary name).
 pub fn parse(args: &[String]) -> Result<Command, UsageError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    let rest: Vec<&String> = it.collect();
-    let positional = |rest: &[&String]| -> Result<String, UsageError> {
-        rest.first()
-            .filter(|s| !s.starts_with('-'))
-            .map(|s| s.to_string())
-            .ok_or_else(|| UsageError(format!("`{cmd}` needs an input file")))
-    };
-    let flag = |name: &str| rest.iter().any(|a| a.as_str() == name);
-    let opt = |name: &str| -> Option<&String> {
-        rest.iter()
-            .position(|a| a.as_str() == name)
-            .and_then(|i| rest.get(i + 1))
-            .copied()
-    };
-    let opt_usize = |name: &str, default: usize| -> Result<usize, UsageError> {
-        match opt(name) {
-            None => Ok(default),
-            Some(s) => s
-                .parse()
-                .map_err(|_| UsageError(format!("{name} expects an integer, got {s:?}"))),
-        }
-    };
-    let opt_f64 = |name: &str, default: f64| -> Result<f64, UsageError> {
-        match opt(name) {
-            None => Ok(default),
-            Some(s) => s
-                .parse()
-                .map_err(|_| UsageError(format!("{name} expects a number, got {s:?}"))),
-        }
-    };
-    let side = match opt("--side").map(|s| s.to_ascii_uppercase()) {
-        None => Side::U,
-        Some(s) if s == "U" => Side::U,
-        Some(s) if s == "V" => Side::V,
-        Some(s) => return Err(UsageError(format!("--side expects U or V, got {s:?}"))),
-    };
-
-    // `--out` is an alias for `--output`.
-    let output = || opt("--output").or_else(|| opt("--out")).cloned();
-
-    match cmd.as_str() {
-        "tip" => {
-            let mut config = Config::default();
-            config.partitions = opt_usize("--partitions", config.partitions)?;
-            config.threads = opt_usize("--threads", 0)?;
-            config.huc = !flag("--no-huc");
-            config.dgm = !flag("--no-dgm");
-            Ok(Command::Tip {
-                input: positional(&rest)?,
-                side,
-                config,
-                output: output(),
-                json: flag("--json"),
-                stats: flag("--stats"),
-            })
-        }
-        "wing" => Ok(Command::Wing {
-            input: positional(&rest)?,
-            side,
-            partitions: opt_usize("--partitions", 0)?,
-            output: output(),
-            json: flag("--json"),
-        }),
-        "count" => Ok(Command::Count {
-            input: positional(&rest)?,
-            output: output(),
-            json: flag("--json"),
-        }),
-        "stream" => {
-            let input = positional(&rest)?;
-            let ops = rest
-                .get(1)
-                .filter(|s| !s.starts_with('-'))
-                .map(|s| s.to_string())
-                .ok_or_else(|| UsageError("`stream` needs a graph file and an ops file".into()))?;
-            let mut config = Config::default();
-            config.partitions = opt_usize("--partitions", config.partitions)?;
-            config.threads = opt_usize("--threads", 0)?;
-            Ok(Command::Stream {
-                input,
-                ops,
-                side,
-                config,
-                dirty_threshold: opt_f64(
-                    "--dirty-threshold",
-                    receipt::dynamic::DEFAULT_DIRTY_THRESHOLD,
-                )?,
-                compact_threshold: opt_f64(
-                    "--compact-threshold",
-                    bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD,
-                )?,
-                verify: flag("--verify"),
-                output: output(),
-                json: flag("--json"),
-            })
-        }
-        "serve" => {
-            let mut config = Config::default();
-            config.partitions = opt_usize("--partitions", config.partitions)?;
-            config.threads = opt_usize("--threads", 0)?;
-            Ok(Command::Serve {
-                input: positional(&rest)?,
-                config,
-                dirty_threshold: opt_f64(
-                    "--dirty-threshold",
-                    receipt::dynamic::DEFAULT_DIRTY_THRESHOLD,
-                )?,
-                compact_threshold: opt_f64(
-                    "--compact-threshold",
-                    bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD,
-                )?,
-                verify: flag("--verify"),
-                requests: opt("--requests").cloned(),
-                socket: opt("--socket").cloned(),
-                output: output(),
-                wal: opt("--wal").cloned(),
-                checkpoint_every: opt_usize(
-                    "--checkpoint-every",
-                    receipt::wal::DEFAULT_CHECKPOINT_EVERY as usize,
-                )? as u64,
-            })
-        }
-        "convert" => {
-            let input = positional(&rest)?;
-            let out = rest
-                .get(1)
-                .filter(|s| !s.starts_with('-'))
-                .map(|s| s.to_string())
-                .ok_or_else(|| {
-                    UsageError("`convert` needs an input file and an output file".into())
-                })?;
-            let fmt = |name: &str| -> Result<Option<String>, UsageError> {
-                match opt(name).map(|s| s.to_ascii_lowercase()) {
-                    None => Ok(None),
-                    Some(s) if s == "text" || s == "binary" => Ok(Some(s)),
-                    Some(s) => Err(UsageError(format!(
-                        "{name} expects text or binary, got {s:?}"
-                    ))),
-                }
-            };
-            Ok(Command::Convert {
-                input,
-                output: out,
-                from: fmt("--from")?,
-                to: fmt("--to")?,
-                json: flag("--json"),
-            })
-        }
-        "recover" => Ok(Command::Recover {
-            dir: rest
-                .first()
-                .filter(|s| !s.starts_with('-'))
-                .map(|s| s.to_string())
-                .ok_or_else(|| UsageError("`recover` needs a store directory".into()))?,
-            json: flag("--json"),
-            output: output(),
-        }),
-        "version" => {
-            let non_flags = positionals(&rest, &["--dump", "--output", "--out"]);
-            let [op, tail @ ..] = non_flags.as_slice() else {
-                return Err(UsageError(
-                    "`version` needs an operation: tag, list, diff, or at".into(),
-                ));
-            };
-            let [dir, names @ ..] = tail else {
-                return Err(UsageError(format!(
-                    "`version {op}` needs a store directory"
-                )));
-            };
-            let arity = match op.as_str() {
-                "tag" | "at" => 1,
-                "list" => 0,
-                "diff" => 2,
-                other => {
-                    return Err(UsageError(format!(
-                        "unknown version operation {other:?} (tag, list, diff, or at)"
-                    )))
-                }
-            };
-            if names.len() != arity {
-                return Err(UsageError(format!(
-                    "`version {op}` takes {arity} tag name(s), got {}",
-                    names.len()
-                )));
-            }
-            Ok(Command::Version {
-                op: op.clone(),
-                dir: dir.clone(),
-                names: names.to_vec(),
-                verify: flag("--verify"),
-                dump: opt("--dump").cloned(),
-                json: flag("--json"),
-                output: output(),
-            })
-        }
-        "derive" => {
-            let non_flags = positionals(&rest, &["--ids", "--side", "--output", "--out"]);
-            let [op, inputs @ ..] = non_flags.as_slice() else {
-                return Err(UsageError(
-                    "`derive` needs an operation: subgraph, union, or diff".into(),
-                ));
-            };
-            let want_b = match op.as_str() {
-                "subgraph" => false,
-                "union" | "diff" => true,
-                other => {
-                    return Err(UsageError(format!(
-                        "unknown derive operation {other:?} (subgraph, union, or diff)"
-                    )))
-                }
-            };
-            let (a, b) = match (inputs, want_b) {
-                ([a], false) => (a.clone(), None),
-                ([a, b], true) => (a.clone(), Some(b.clone())),
-                _ => {
-                    return Err(UsageError(format!(
-                        "`derive {op}` takes {} input graph(s), got {}",
-                        1 + usize::from(want_b),
-                        inputs.len()
-                    )))
-                }
-            };
-            let ids = match (op.as_str(), opt("--ids")) {
-                ("subgraph", Some(list)) => list
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let a = Args::scan(cmd, rest)?;
+    Ok(match a.spec.name {
+        "tip" => Command::Tip {
+            input: a.positional(0),
+            side: a.side()?,
+            config: a.config()?,
+            output: a.value("--output"),
+            json: a.flag("--json"),
+            stats: a.flag("--stats"),
+        },
+        "wing" => Command::Wing {
+            input: a.positional(0),
+            side: a.side()?,
+            partitions: a.parsed("--partitions")?.unwrap_or(0),
+            output: a.value("--output"),
+            json: a.flag("--json"),
+        },
+        "count" => Command::Count {
+            input: a.positional(0),
+            output: a.value("--output"),
+            json: a.flag("--json"),
+        },
+        "stream" => Command::Stream {
+            input: a.positional(0),
+            ops: a.positional(1),
+            side: a.side()?,
+            options: a.engine_options()?,
+            output: a.value("--output"),
+            json: a.flag("--json"),
+        },
+        "serve" => Command::Serve {
+            input: a.positional(0),
+            options: a.engine_options()?,
+            requests: a.value("--requests"),
+            socket: a.value("--socket"),
+            output: a.value("--output"),
+            wal: a.value("--wal"),
+            checkpoint_every: a
+                .parsed("--checkpoint-every")?
+                .unwrap_or(receipt::wal::DEFAULT_CHECKPOINT_EVERY),
+        },
+        "convert" => Command::Convert {
+            input: a.positional(0),
+            output: a.positional(1),
+            from: a.format("--from")?,
+            to: a.format("--to")?,
+            json: a.flag("--json"),
+        },
+        "recover" => Command::Recover {
+            dir: a.positional(0),
+            json: a.flag("--json"),
+            output: a.value("--output"),
+        },
+        "ktips" => Command::KTips {
+            input: a.positional(0),
+            side: a.side()?,
+            k: a.required("-k")?,
+        },
+        "stats" => Command::Stats {
+            input: a.positional(0),
+        },
+        "generate" => Command::Generate {
+            preset: a.positional(0),
+            output: a.value("--output"),
+        },
+        name if name.starts_with("version ") => Command::Version {
+            op: a.spec.words().1.to_string(),
+            dir: a.positional(0),
+            names: a.positionals[1..].to_vec(),
+            verify: a.flag("--verify"),
+            dump: a.value("--dump"),
+            json: a.flag("--json"),
+            output: a.value("--output"),
+        },
+        // The three `derive` operations.
+        name => Command::Derive {
+            op: a.spec.words().1.to_string(),
+            a: a.positional(0),
+            b: a.positionals.get(1).cloned(),
+            ids: match name {
+                "derive subgraph" => a
+                    .required::<String>("--ids")?
                     .split(',')
                     .map(|s| {
-                        s.trim().parse::<u32>().map_err(|_| {
+                        s.trim().parse().map_err(|_| {
                             UsageError(format!("--ids expects comma-separated ids, got {s:?}"))
                         })
                     })
-                    .collect::<Result<Vec<u32>, _>>()?,
-                ("subgraph", None) => {
-                    return Err(UsageError("`derive subgraph` needs --ids LIST".into()))
-                }
+                    .collect::<Result<_, _>>()?,
                 _ => Vec::new(),
-            };
-            Ok(Command::Derive {
-                op: op.clone(),
-                a,
-                b,
-                ids,
-                side,
-                output: output()
-                    .ok_or_else(|| UsageError(format!("`derive {op}` needs --output FILE")))?,
-                json: flag("--json"),
-            })
-        }
-        "ktips" => {
-            let k = opt("-k")
-                .ok_or_else(|| UsageError("ktips needs -k N".into()))?
-                .parse()
-                .map_err(|_| UsageError("-k expects an integer".into()))?;
-            Ok(Command::KTips {
-                input: positional(&rest)?,
-                side,
-                k,
-            })
-        }
-        "stats" => Ok(Command::Stats {
-            input: positional(&rest)?,
-        }),
-        "generate" => Ok(Command::Generate {
-            preset: positional(&rest)?,
-            output: output(),
-        }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(UsageError(format!("unknown command {other:?}"))),
-    }
+            },
+            side: a.side()?,
+            output: a.required("--output")?,
+            json: a.flag("--json"),
+        },
+    })
 }
 
 fn load(input: &str) -> Result<BipartiteCsr, String> {
@@ -542,10 +645,9 @@ fn load(input: &str) -> Result<BipartiteCsr, String> {
     bigraph::io::read_graph_path(input).map_err(|e| e.to_string())
 }
 
-/// Reads a graph in either on-disk format, inferring the FORMATS.md §1
-/// binary image from a `.bgr` extension (same rule as `convert`).
-fn load_any(path: &str) -> Result<BipartiteCsr, String> {
-    if path.ends_with(".bgr") {
+/// Reads a graph as the FORMATS.md §1 binary image or as KONECT text.
+fn read_graph_as(path: &str, binary: bool) -> Result<BipartiteCsr, String> {
+    if binary {
         bigraph::binfmt::read_binary_graph_path(path)
             .map(|r| r.graph)
             .map_err(|e| e.to_string())
@@ -554,31 +656,74 @@ fn load_any(path: &str) -> Result<BipartiteCsr, String> {
     }
 }
 
-/// Writes a graph in either on-disk format, `.bgr` by extension.
-fn write_any(g: &BipartiteCsr, path: &str) -> Result<(), String> {
-    if path.ends_with(".bgr") {
+/// Writes a graph as the FORMATS.md §1 binary image or as KONECT text.
+fn write_graph_as(g: &BipartiteCsr, path: &str, binary: bool) -> Result<(), String> {
+    let written = if binary {
         bigraph::binfmt::write_binary_graph_path(path, g)
             .map(|_| ())
-            .map_err(|e| format!("cannot write {path}: {e}"))
+            .map_err(|e| e.to_string())
     } else {
-        bigraph::io::write_graph_path(g, path).map_err(|e| format!("cannot write {path}: {e}"))
+        bigraph::io::write_graph_path(g, path).map_err(|e| e.to_string())
+    };
+    written.map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// `.bgr` names the binary image; anything else is KONECT text.
+fn is_binary(path: &str) -> bool {
+    path.ends_with(".bgr")
+}
+
+/// Writes a command's result in one go, to `output` or else to stdout,
+/// and flushes it.
+fn emit(text: &str, output: &Option<String>) -> Result<(), String> {
+    let mut out: Box<dyn Write> = match output {
+        None => Box::new(std::io::stdout().lock()),
+        Some(path) => {
+            Box::new(std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?)
+        }
+    };
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| e.to_string())
+}
+
+/// A report document, pretty-printed with a trailing newline.
+fn pretty<T: serde::Serialize>(report: &T) -> Result<String, String> {
+    serde_json::to_string_pretty(report)
+        .map(|text| text + "\n")
+        .map_err(|e| e.to_string())
+}
+
+/// The durable store at `dir`; a run error if there is none.
+fn store_at(dir: &str) -> Result<&Path, String> {
+    let path = Path::new(dir);
+    if receipt::wal::Store::exists(path) {
+        Ok(path)
+    } else {
+        Err(format!(
+            "no store at {dir} (expected checkpoint.meta; see FORMATS.md \u{a7}4)"
+        ))
     }
 }
 
-fn sink(output: &Option<String>) -> Result<Box<dyn Write>, String> {
-    match output {
-        None => Ok(Box::new(std::io::stdout().lock())),
-        Some(path) => std::fs::File::create(path)
-            .map(|f| Box::new(std::io::BufWriter::new(f)) as Box<dyn Write>)
-            .map_err(|e| format!("cannot create {path}: {e}")),
-    }
-}
+const STREAM_HEADER: &str =
+    "# batch\t+ins\t-del\tskip\tgained\tlost\ttotal_bf\tpolicy\tdirty\ttheta_max\n";
 
-/// Pretty-prints a report document (plus trailing newline) to the sink.
-fn emit_json<T: serde::Serialize>(report: &T, output: &Option<String>) -> Result<(), String> {
-    let mut out = sink(output)?;
-    let text = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
-    writeln!(out, "{text}").map_err(|e| e.to_string())
+/// One TSV row of `stream`'s text output.
+fn stream_row(b: &receipt::report::StreamBatchReport) -> String {
+    format!(
+        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        b.batch,
+        b.inserted,
+        b.deleted,
+        b.skipped,
+        b.butterflies_gained,
+        b.butterflies_lost,
+        b.total_butterflies,
+        b.policy.as_str(),
+        b.dirty,
+        b.theta_max,
+    )
 }
 
 /// Aligns ops-file ids with the graph file's id base: a 1-based graph
@@ -613,69 +758,6 @@ fn rebase_ops(
                 .collect()
         })
         .collect()
-}
-
-/// Drives a stream of batches through a [`StreamEngine`], producing the
-/// versioned per-batch report. `on_row` sees every completed batch row as
-/// soon as it exists (the incremental-emission hook: callers flush it so
-/// long streams can be tailed). With `verify`, the engine differentially
-/// checks every batch against a from-scratch recount and a BUP re-peel of
-/// the materialized graph (a mismatch is a run error → exit 1). Honours
-/// `config.threads` the same way `tip_decompose` does: a nonzero value
-/// runs the whole stream inside a dedicated pool of that size.
-#[allow(clippy::too_many_arguments)]
-fn run_stream(
-    input: &str,
-    ops: &str,
-    g: bigraph::BipartiteCsr,
-    batches: &[Vec<bigraph::EdgeOp>],
-    side: Side,
-    config: Config,
-    dirty_threshold: f64,
-    compact_threshold: f64,
-    verify: bool,
-    on_row: &mut (dyn FnMut(&receipt::report::StreamBatchReport) -> Result<(), String> + Send),
-) -> Result<receipt::report::StreamReport, String> {
-    let threads = config.threads;
-    let options = EngineOptions {
-        config: config.clone(),
-        dirty_threshold,
-        compact_threshold,
-        verify,
-    };
-    let drive = move || -> Result<receipt::report::StreamReport, String> {
-        let engine = StreamEngine::new(g, options);
-        let mut rows = Vec::with_capacity(batches.len());
-        for (i, batch) in batches.iter().enumerate() {
-            let outcome = engine
-                .apply_batch(batch)
-                .map_err(|e| format!("batch {i}: {e}"))?;
-            let row = receipt::report::StreamBatchReport::from_outcome(i, side, &outcome);
-            on_row(&row)?;
-            rows.push(row);
-        }
-        let snapshot = engine.snapshot();
-        Ok(receipt::report::StreamReport {
-            schema_version: receipt::report::SCHEMA_VERSION,
-            kind: "stream".to_string(),
-            input: input.to_string(),
-            ops: ops.to_string(),
-            side,
-            config: config.clone(),
-            dirty_threshold,
-            verified: verify,
-            batches: rows,
-            final_num_edges: snapshot.graph().num_edges(),
-            final_total_butterflies: snapshot.total_butterflies(),
-            final_theta_max: snapshot.theta_max(side),
-            final_tip_checksum: snapshot.tip_checksum(side),
-        })
-    };
-    if threads > 0 {
-        parutil::with_pool(threads, drive)
-    } else {
-        drive()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -978,13 +1060,11 @@ pub fn run_scripted_session(
     Ok(responses)
 }
 
-/// Executes a parsed command. Returns the process exit code.
+/// Executes a parsed command. Results are written once, through `emit`;
+/// only `stream` without `--output` writes a row per batch.
 pub fn run(cmd: Command) -> Result<(), String> {
     match cmd {
-        Command::Help => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        Command::Help => emit(USAGE, &None),
         Command::Tip {
             input,
             side,
@@ -995,18 +1075,18 @@ pub fn run(cmd: Command) -> Result<(), String> {
         } => {
             let g = load(&input)?;
             let d = receipt::tip_decompose(&g, side, &config);
-            if json {
-                emit_json(
-                    &receipt::report::TipReport::new(&input, &config, &d),
-                    &output,
-                )?;
+            let text = if json {
+                pretty(&receipt::report::TipReport::new(&input, &config, &d))?
             } else {
-                let mut out = sink(&output)?;
-                writeln!(out, "# vertex\ttip_number").map_err(|e| e.to_string())?;
-                for (u, t) in d.tip.iter().enumerate() {
-                    writeln!(out, "{u}\t{t}").map_err(|e| e.to_string())?;
-                }
-            }
+                let rows: String = d
+                    .tip
+                    .iter()
+                    .enumerate()
+                    .map(|(u, t)| format!("{u}\t{t}\n"))
+                    .collect();
+                format!("# vertex\ttip_number\n{rows}")
+            };
+            emit(&text, &output)?;
             if stats {
                 let m = &d.metrics;
                 eprintln!(
@@ -1041,18 +1121,24 @@ pub fn run(cmd: Command) -> Result<(), String> {
             } else {
                 (receipt::wing::wing_decompose(view, 4), None)
             };
-            if json {
-                let report =
-                    receipt::report::WingReport::new(&input, side, partitions, &d, wing_metrics);
-                emit_json(&report, &output)?;
+            let text = if json {
+                pretty(&receipt::report::WingReport::new(
+                    &input,
+                    side,
+                    partitions,
+                    &d,
+                    wing_metrics,
+                ))?
             } else {
-                let mut out = sink(&output)?;
-                writeln!(out, "# u\tv\twing_number").map_err(|e| e.to_string())?;
-                for (e, &(u, v)) in d.edges.iter().enumerate() {
-                    writeln!(out, "{u}\t{v}\t{}", d.wing[e]).map_err(|e| e.to_string())?;
-                }
-            }
-            Ok(())
+                let rows: String = d
+                    .edges
+                    .iter()
+                    .zip(&d.wing)
+                    .map(|((u, v), w)| format!("{u}\t{v}\t{w}\n"))
+                    .collect();
+                format!("# u\tv\twing_number\n{rows}")
+            };
+            emit(&text, &output)
         }
         Command::Count {
             input,
@@ -1062,28 +1148,29 @@ pub fn run(cmd: Command) -> Result<(), String> {
             let g = load(&input)?;
             let c = butterfly::par_count_graph(&g);
             if json {
-                emit_json(&receipt::report::CountReport::new(&input, &c), &output)?;
-            } else {
-                let mut out = sink(&output)?;
-                writeln!(out, "# side\tvertex\tbutterflies").map_err(|e| e.to_string())?;
-                for (u, b) in c.u.iter().enumerate() {
-                    writeln!(out, "U\t{u}\t{b}").map_err(|e| e.to_string())?;
-                }
-                for (v, b) in c.v.iter().enumerate() {
-                    writeln!(out, "V\t{v}\t{b}").map_err(|e| e.to_string())?;
-                }
-                eprintln!("total butterflies: {}", c.total());
+                return emit(
+                    &pretty(&receipt::report::CountReport::new(&input, &c))?,
+                    &output,
+                );
             }
+            let mut text = String::from("# side\tvertex\tbutterflies\n");
+            for (side, counts) in [("U", &c.u), ("V", &c.v)] {
+                text.extend(
+                    counts
+                        .iter()
+                        .enumerate()
+                        .map(|(x, b)| format!("{side}\t{x}\t{b}\n")),
+                );
+            }
+            emit(&text, &output)?;
+            eprintln!("total butterflies: {}", c.total());
             Ok(())
         }
         Command::Stream {
             input,
             ops,
             side,
-            config,
-            dirty_threshold,
-            compact_threshold,
-            verify,
+            options,
             output,
             json,
         } => {
@@ -1104,111 +1191,72 @@ pub fn run(cmd: Command) -> Result<(), String> {
             // written once — byte-identical to the pre-incremental format,
             // which the golden snapshots rely on.
             let incremental = output.is_none();
-            let mut on_row = |b: &receipt::report::StreamBatchReport| -> Result<(), String> {
-                if !incremental {
-                    return Ok(());
-                }
-                let mut out = std::io::stdout().lock();
-                if json {
-                    let line = serde_json::to_string(b).map_err(|e| e.to_string())?;
-                    writeln!(out, "{line}").map_err(|e| e.to_string())?;
-                } else {
-                    if b.batch == 0 {
-                        writeln!(
-                            out,
-                            "# batch\t+ins\t-del\tskip\tgained\tlost\ttotal_bf\tpolicy\tdirty\ttheta_max"
-                        )
-                        .map_err(|e| e.to_string())?;
+            // With `verify`, the engine differentially checks every batch
+            // against a from-scratch recount and a BUP re-peel of the
+            // materialized graph (a mismatch is a run error → exit 1).
+            let report = options.config.install(|| {
+                let engine = StreamEngine::new(g, options.clone());
+                let mut rows = Vec::with_capacity(batches.len());
+                for (i, batch) in batches.iter().enumerate() {
+                    let outcome = engine
+                        .apply_batch(batch)
+                        .map_err(|e| format!("batch {i}: {e}"))?;
+                    let row = receipt::report::StreamBatchReport::from_outcome(i, side, &outcome);
+                    if incremental && json {
+                        let line = serde_json::to_string(&row).map_err(|e| e.to_string())?;
+                        emit(&(line + "\n"), &None)?;
+                    } else if incremental {
+                        let header = if i == 0 { STREAM_HEADER } else { "" };
+                        emit(&(header.to_string() + &stream_row(&row)), &None)?;
                     }
-                    writeln!(
-                        out,
-                        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                        b.batch,
-                        b.inserted,
-                        b.deleted,
-                        b.skipped,
-                        b.butterflies_gained,
-                        b.butterflies_lost,
-                        b.total_butterflies,
-                        b.policy.as_str(),
-                        b.dirty,
-                        b.theta_max,
-                    )
-                    .map_err(|e| e.to_string())?;
+                    rows.push(row);
                 }
-                out.flush().map_err(|e| e.to_string())
-            };
-            let report = run_stream(
-                &input,
-                &ops,
-                g,
-                &batches,
-                side,
-                config,
-                dirty_threshold,
-                compact_threshold,
-                verify,
-                &mut on_row,
-            )?;
-            if json {
-                if incremental {
-                    // Compact final document after the NDJSON rows.
-                    let mut out = std::io::stdout().lock();
-                    let line = serde_json::to_string(&report).map_err(|e| e.to_string())?;
-                    writeln!(out, "{line}").map_err(|e| e.to_string())?;
-                } else {
-                    emit_json(&report, &output)?;
-                }
-            } else if incremental {
-                eprintln!(
-                    "{} batches; final: |E| = {}, butterflies = {}, theta_max = {}{}",
-                    report.batches.len(),
-                    report.final_num_edges,
-                    report.final_total_butterflies,
-                    report.final_theta_max,
-                    if verify { ", all batches verified" } else { "" }
-                );
-            } else {
-                let mut out = sink(&output)?;
-                writeln!(
-                    out,
-                    "# batch\t+ins\t-del\tskip\tgained\tlost\ttotal_bf\tpolicy\tdirty\ttheta_max"
-                )
-                .map_err(|e| e.to_string())?;
-                for b in &report.batches {
-                    writeln!(
-                        out,
-                        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                        b.batch,
-                        b.inserted,
-                        b.deleted,
-                        b.skipped,
-                        b.butterflies_gained,
-                        b.butterflies_lost,
-                        b.total_butterflies,
-                        b.policy.as_str(),
-                        b.dirty,
-                        b.theta_max,
-                    )
-                    .map_err(|e| e.to_string())?;
-                }
-                eprintln!(
-                    "{} batches; final: |E| = {}, butterflies = {}, theta_max = {}{}",
-                    report.batches.len(),
-                    report.final_num_edges,
-                    report.final_total_butterflies,
-                    report.final_theta_max,
-                    if verify { ", all batches verified" } else { "" }
-                );
+                let snapshot = engine.snapshot();
+                Ok::<_, String>(receipt::report::StreamReport {
+                    schema_version: receipt::report::SCHEMA_VERSION,
+                    kind: "stream".to_string(),
+                    input: input.clone(),
+                    ops: ops.clone(),
+                    side,
+                    config: options.config.clone(),
+                    dirty_threshold: options.dirty_threshold,
+                    verified: options.verify,
+                    batches: rows,
+                    final_num_edges: snapshot.graph().num_edges(),
+                    final_total_butterflies: snapshot.total_butterflies(),
+                    final_theta_max: snapshot.theta_max(side),
+                    final_tip_checksum: snapshot.tip_checksum(side),
+                })
+            })?;
+            if json && incremental {
+                // Compact final document after the NDJSON rows.
+                let line = serde_json::to_string(&report).map_err(|e| e.to_string())?;
+                return emit(&(line + "\n"), &None);
             }
+            if json {
+                return emit(&pretty(&report)?, &output);
+            }
+            if !incremental {
+                let rows: String = report.batches.iter().map(stream_row).collect();
+                emit(&(STREAM_HEADER.to_string() + &rows), &output)?;
+            }
+            eprintln!(
+                "{} batches; final: |E| = {}, butterflies = {}, theta_max = {}{}",
+                report.batches.len(),
+                report.final_num_edges,
+                report.final_total_butterflies,
+                report.final_theta_max,
+                if options.verify {
+                    ", all batches verified"
+                } else {
+                    ""
+                }
+            );
             Ok(())
         }
         Command::Serve {
             input,
-            config,
-            dirty_threshold,
-            compact_threshold,
-            verify,
+            options,
             requests,
             socket,
             output,
@@ -1219,13 +1267,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
             // graph file (a 1-based file means 1-based requests).
             let (g, one_based) =
                 bigraph::io::read_graph_path_with_base(&input).map_err(|e| e.to_string())?;
-            let threads = config.threads;
-            let options = EngineOptions {
-                config,
-                dirty_threshold,
-                compact_threshold,
-                verify,
-            };
+            let verify = options.verify;
+            let config = options.config.clone();
             let drive = move || -> Result<(), String> {
                 let engine = match &wal {
                     None => StreamEngine::new(g, options),
@@ -1233,7 +1276,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         // Durable: an existing store is the truth (the
                         // graph file only seeds a fresh one).
                         let (engine, info) = StreamEngine::open_durable(
-                            std::path::Path::new(dir),
+                            Path::new(dir),
                             Some(g),
                             options,
                             checkpoint_every,
@@ -1264,19 +1307,19 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     // document.
                     let script = std::fs::read_to_string(&path)
                         .map_err(|e| format!("failed to read {path}: {e}"))?;
-                    let t0 = std::time::Instant::now();
+                    let t0 = Instant::now();
                     let responses = run_scripted_session(&engine, one_based, &script)?;
                     let report = ServeSessionReport {
                         schema_version: receipt::report::SCHEMA_VERSION,
                         kind: "serve-session".to_string(),
-                        input: input.clone(),
+                        input,
                         requests: path,
                         verified: verify,
                         responses,
                         final_stats: ServeStats::from_snapshot(&engine.snapshot()),
                         time_session_secs: t0.elapsed().as_secs_f64(),
                     };
-                    return emit_json(&report, &output);
+                    return emit(&pretty(&report)?, &output);
                 }
                 if let Some(path) = socket {
                     // One connection at a time; the listener keeps
@@ -1311,11 +1354,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 let mut writer = std::io::stdout().lock();
                 serve_framed(&engine, one_based, &mut reader, &mut writer).map(|_| ())
             };
-            if threads > 0 {
-                parutil::with_pool(threads, drive)
-            } else {
-                drive()
-            }
+            config.install(drive)
         }
         Command::Convert {
             input,
@@ -1324,32 +1363,14 @@ pub fn run(cmd: Command) -> Result<(), String> {
             to,
             json,
         } => {
-            // `.bgr` means the FORMATS.md §1 binary image; anything else
-            // is the KONECT text edge list.
-            let infer = |path: &str, explicit: &Option<String>| -> String {
-                match explicit {
-                    Some(f) => f.clone(),
-                    None if path.ends_with(".bgr") => "binary".to_string(),
-                    None => "text".to_string(),
-                }
+            let format = |path: &str, explicit: Option<String>| {
+                explicit.unwrap_or_else(|| (if is_binary(path) { "binary" } else { "text" }).into())
             };
-            let from = infer(&input, &from);
-            let to = infer(&output, &to);
-            let t0 = std::time::Instant::now();
-            let g = if from == "binary" {
-                bigraph::binfmt::read_binary_graph_path(&input)
-                    .map_err(|e| e.to_string())?
-                    .graph
-            } else {
-                load(&input)?
-            };
-            if to == "binary" {
-                bigraph::binfmt::write_binary_graph_path(&output, &g)
-                    .map_err(|e| format!("cannot write {output}: {e}"))?;
-            } else {
-                bigraph::io::write_graph_path(&g, &output)
-                    .map_err(|e| format!("cannot write {output}: {e}"))?;
-            }
+            let from = format(&input, from);
+            let to = format(&output, to);
+            let t0 = Instant::now();
+            let g = read_graph_as(&input, from == "binary")?;
+            write_graph_as(&g, &output, to == "binary")?;
             let time_convert_secs = t0.elapsed().as_secs_f64();
             let size = |p: &str| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
             let report = receipt::report::ConvertReport {
@@ -1367,34 +1388,22 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 time_convert_secs,
             };
             if json {
-                emit_json(&report, &None)?;
-            } else {
-                eprintln!(
-                    "{input} ({from}) -> {output} ({to}): {} x {}, {} edges, {} -> {} bytes",
-                    report.num_u, report.num_v, report.num_edges, report.bytes_in, report.bytes_out
-                );
+                return emit(&pretty(&report)?, &None);
             }
+            eprintln!(
+                "{input} ({from}) -> {output} ({to}): {} x {}, {} edges, {} -> {} bytes",
+                report.num_u, report.num_v, report.num_edges, report.bytes_in, report.bytes_out
+            );
             Ok(())
         }
         Command::Recover { dir, json, output } => {
-            if !receipt::wal::Store::exists(std::path::Path::new(&dir)) {
-                return Err(format!(
-                    "no store at {dir} (expected checkpoint.meta; see FORMATS.md \u{a7}4)"
-                ));
-            }
-            let options = EngineOptions {
-                config: Config::default(),
-                dirty_threshold: receipt::dynamic::DEFAULT_DIRTY_THRESHOLD,
-                compact_threshold: bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD,
-                verify: false,
-            };
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             let (engine, info) =
-                StreamEngine::open_durable(std::path::Path::new(&dir), None, options, 0)?;
+                StreamEngine::open_durable(store_at(&dir)?, None, EngineOptions::default(), 0)?;
             let time_recover_secs = t0.elapsed().as_secs_f64();
             // "Provable" recovery: the replayed state must agree with a
             // from-scratch recount + re-peel of the materialized graph.
-            let t1 = std::time::Instant::now();
+            let t1 = Instant::now();
             engine
                 .verify_against_scratch()
                 .map_err(|e| format!("recovered state failed oracle verification: {e}"))?;
@@ -1422,14 +1431,14 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 time_recover_secs,
                 time_verify_secs,
             };
-            if json {
-                emit_json(&report, &output)?;
+            let text = if json {
+                pretty(&report)?
             } else {
-                let mut out = sink(&output)?;
-                writeln!(
-                    out,
+                format!(
                     "recovered {dir}: checkpoint lsn {}, replayed {}/{} record(s) \
-                     (skipped {} folded), end lsn {}{}",
+                     (skipped {} folded), end lsn {}{}\n\
+                     state: {} x {}, {} edges, {} butterflies, tip checksums \
+                     {:#018x}/{:#018x}, oracle verified\n",
                     report.checkpoint_lsn,
                     report.replayed,
                     report.wal_records,
@@ -1439,13 +1448,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         format!(", torn tail repaired (-{} bytes)", report.discarded_bytes)
                     } else {
                         String::new()
-                    }
-                )
-                .map_err(|e| e.to_string())?;
-                writeln!(
-                    out,
-                    "state: {} x {}, {} edges, {} butterflies, tip checksums \
-                     {:#018x}/{:#018x}, oracle verified",
+                    },
                     report.num_u,
                     report.num_v,
                     report.num_edges,
@@ -1453,9 +1456,8 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     report.tip_checksum_u,
                     report.tip_checksum_v
                 )
-                .map_err(|e| e.to_string())?;
-            }
-            Ok(())
+            };
+            emit(&text, &output)
         }
         Command::Version {
             op,
@@ -1470,18 +1472,10 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 TimeTravelReport, VersionDiffReport, VersionEntryReport, VersionReport,
             };
             use receipt::version::{self, VersionStore};
-            let dpath = std::path::Path::new(&dir);
-            if !receipt::wal::Store::exists(dpath) {
-                return Err(format!(
-                    "no store at {dir} (expected checkpoint.meta; see FORMATS.md \u{a7}4)"
-                ));
-            }
-            let options = || EngineOptions {
-                config: Config::default(),
-                dirty_threshold: receipt::dynamic::DEFAULT_DIRTY_THRESHOLD,
-                compact_threshold: bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD,
-                verify: false,
-            };
+            let dpath = store_at(&dir)?;
+            let versions = || VersionStore::open(dpath).map_err(|e| e.to_string());
+            let listed =
+                |vs: VersionStore| vs.list().iter().map(VersionEntryReport::from_ref).collect();
             let entry_line = |e: &VersionEntryReport| {
                 format!(
                     "{}\tlsn {}\t{} butterflies\ttip checksums {:#018x}/{:#018x}",
@@ -1489,43 +1483,27 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 )
             };
             let mut report = VersionReport::new(&op, &dir);
-            match op.as_str() {
+            let text = match op.as_str() {
                 "tag" => {
-                    let vref = version::tag_head(dpath, &names[0], options())
+                    let vref = version::tag_head(dpath, &names[0], EngineOptions::default())
                         .map_err(|e| e.to_string())?;
-                    report.tagged = Some(VersionEntryReport::from_ref(&vref));
-                    let vs = VersionStore::open(dpath).map_err(|e| e.to_string())?;
-                    report.versions =
-                        Some(vs.list().iter().map(VersionEntryReport::from_ref).collect());
-                    if json {
-                        emit_json(&report, &output)?;
-                    } else {
-                        let mut out = sink(&output)?;
-                        writeln!(
-                            out,
-                            "tagged {}",
-                            entry_line(report.tagged.as_ref().unwrap())
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
+                    let tagged = VersionEntryReport::from_ref(&vref);
+                    let text = format!("tagged {}\n", entry_line(&tagged));
+                    report.tagged = Some(tagged);
+                    report.versions = Some(listed(versions()?));
+                    text
                 }
                 "list" => {
-                    let vs = VersionStore::open(dpath).map_err(|e| e.to_string())?;
-                    report.versions =
-                        Some(vs.list().iter().map(VersionEntryReport::from_ref).collect());
-                    if json {
-                        emit_json(&report, &output)?;
-                    } else {
-                        let mut out = sink(&output)?;
-                        for e in report.versions.as_ref().unwrap() {
-                            writeln!(out, "{}", entry_line(e)).map_err(|e| e.to_string())?;
-                        }
-                    }
+                    let list: Vec<VersionEntryReport> = listed(versions()?);
+                    let text = list.iter().map(|e| entry_line(e) + "\n").collect();
+                    report.versions = Some(list);
+                    text
                 }
                 "diff" => {
-                    let vs = VersionStore::open(dpath).map_err(|e| e.to_string())?;
-                    let ops = vs.diff(&names[0], &names[1]).map_err(|e| e.to_string())?;
-                    let lines: Vec<String> = ops
+                    let vs = versions()?;
+                    let ops: Vec<String> = vs
+                        .diff(&names[0], &names[1])
+                        .map_err(|e| e.to_string())?
                         .iter()
                         .map(|op| {
                             let (u, v) = op.edge();
@@ -1535,31 +1513,27 @@ pub fn run(cmd: Command) -> Result<(), String> {
                             }
                         })
                         .collect();
-                    let count = |f: fn(&String) -> bool| lines.iter().filter(|l| f(l)).count();
+                    // Bare batch lines: `--output FILE` yields a file that
+                    // `tipdecomp stream` replays as one batch.
+                    let text = ops.iter().map(|line| format!("{line}\n")).collect();
+                    let count = |sign: char| ops.iter().filter(|l| l.starts_with(sign)).count();
                     report.diff = Some(VersionDiffReport {
                         from: VersionEntryReport::from_ref(vs.lookup(&names[0]).unwrap()),
                         to: VersionEntryReport::from_ref(vs.lookup(&names[1]).unwrap()),
-                        inserts: count(|l| l.starts_with('+')),
-                        deletes: count(|l| l.starts_with('-')),
-                        ops: lines,
+                        inserts: count('+'),
+                        deletes: count('-'),
+                        ops,
                     });
-                    if json {
-                        emit_json(&report, &output)?;
-                    } else {
-                        // Bare batch lines: `--output FILE` yields a file
-                        // that `tipdecomp stream` replays as one batch.
-                        let mut out = sink(&output)?;
-                        for line in &report.diff.as_ref().unwrap().ops {
-                            writeln!(out, "{line}").map_err(|e| e.to_string())?;
-                        }
-                    }
+                    text
                 }
-                "at" => {
-                    let t0 = std::time::Instant::now();
-                    let (engine, info) = StreamEngine::open_at(dpath, &names[0], options())
-                        .map_err(|e| e.to_string())?;
+                _ => {
+                    // `at`: time travel to the tag, optionally oracle-checked.
+                    let t0 = Instant::now();
+                    let (engine, info) =
+                        StreamEngine::open_at(dpath, &names[0], EngineOptions::default())
+                            .map_err(|e| e.to_string())?;
                     let time_travel_secs = t0.elapsed().as_secs_f64();
-                    let t1 = std::time::Instant::now();
+                    let t1 = Instant::now();
                     if verify {
                         engine.verify_against_scratch().map_err(|e| {
                             format!("time-travel state failed oracle verification: {e}")
@@ -1568,9 +1542,9 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     let time_verify_secs = t1.elapsed().as_secs_f64();
                     let snapshot = engine.snapshot();
                     if let Some(path) = &dump {
-                        write_any(snapshot.graph(), path)?;
+                        write_graph_as(snapshot.graph(), path, is_binary(path))?;
                     }
-                    report.at = Some(TimeTravelReport {
+                    let at = TimeTravelReport {
                         version: VersionEntryReport::from_ref(&info.version),
                         checkpoint_lsn: info.checkpoint_lsn,
                         wal_records: info.wal_records,
@@ -1590,40 +1564,29 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         verified: verify,
                         time_travel_secs,
                         time_verify_secs,
-                    });
-                    if json {
-                        emit_json(&report, &output)?;
-                    } else {
-                        let at = report.at.as_ref().unwrap();
-                        let mut out = sink(&output)?;
-                        writeln!(
-                            out,
-                            "at {}: checkpoint lsn {}, replayed {}/{} record(s) \
-                             (skipped {} folded, {} above the tag), wal end {}",
-                            entry_line(&at.version),
-                            at.checkpoint_lsn,
-                            at.replayed,
-                            at.wal_records,
-                            at.skipped_folded,
-                            at.skipped_above,
-                            at.wal_end
-                        )
-                        .map_err(|e| e.to_string())?;
-                        writeln!(
-                            out,
-                            "state: {} x {}, {} edges, {} butterflies{}",
-                            at.num_u,
-                            at.num_v,
-                            at.num_edges,
-                            at.total_butterflies,
-                            if at.verified { ", oracle verified" } else { "" }
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
+                    };
+                    let text = format!(
+                        "at {}: checkpoint lsn {}, replayed {}/{} record(s) \
+                         (skipped {} folded, {} above the tag), wal end {}\n\
+                         state: {} x {}, {} edges, {} butterflies{}\n",
+                        entry_line(&at.version),
+                        at.checkpoint_lsn,
+                        at.replayed,
+                        at.wal_records,
+                        at.skipped_folded,
+                        at.skipped_above,
+                        at.wal_end,
+                        at.num_u,
+                        at.num_v,
+                        at.num_edges,
+                        at.total_butterflies,
+                        if at.verified { ", oracle verified" } else { "" }
+                    );
+                    report.at = Some(at);
+                    text
                 }
-                _ => unreachable!("parse validated the version operation"),
-            }
-            Ok(())
+            };
+            emit(&if json { pretty(&report)? } else { text }, &output)
         }
         Command::Derive {
             op,
@@ -1634,10 +1597,10 @@ pub fn run(cmd: Command) -> Result<(), String> {
             output,
             json,
         } => {
-            let t0 = std::time::Instant::now();
-            let ga = load_any(&a)?;
-            let derived = match op.as_str() {
-                "subgraph" => {
+            let t0 = Instant::now();
+            let ga = read_graph_as(&a, is_binary(&a))?;
+            let derived = match (op.as_str(), &b) {
+                ("subgraph", _) => {
                     // VERSIONING.md §6.1: ids strictly increasing,
                     // in-range, non-empty.
                     if ids.is_empty() {
@@ -1668,24 +1631,26 @@ pub fn run(cmd: Command) -> Result<(), String> {
                         .csr()
                         .clone()
                 }
-                "union" => {
-                    let gb = load_any(b.as_ref().expect("parse guarantees a second input"))?;
-                    bigraph::derive::union(&ga, &gb)
+                (op, Some(b)) => {
+                    let gb = read_graph_as(b, is_binary(b))?;
+                    if op == "union" {
+                        bigraph::derive::union(&ga, &gb)
+                    } else {
+                        bigraph::derive::difference(&ga, &gb)
+                    }
                 }
-                _ => {
-                    let gb = load_any(b.as_ref().expect("parse guarantees a second input"))?;
-                    bigraph::derive::difference(&ga, &gb)
-                }
+                (op, None) => unreachable!("parse gives `derive {op}` a second input"),
             };
-            write_any(&derived, &output)?;
+            write_graph_as(&derived, &output, is_binary(&output))?;
+            let subgraph = op == "subgraph";
             let report = receipt::report::DeriveReport {
                 schema_version: receipt::report::SCHEMA_VERSION,
                 kind: "derive".to_string(),
                 op: op.clone(),
                 a: a.clone(),
                 b: b.clone(),
-                subset: if op == "subgraph" { Some(ids) } else { None },
-                side: if op == "subgraph" { Some(side) } else { None },
+                subset: subgraph.then_some(ids),
+                side: subgraph.then_some(side),
                 output: output.clone(),
                 num_u: derived.num_u(),
                 num_v: derived.num_v(),
@@ -1695,55 +1660,43 @@ pub fn run(cmd: Command) -> Result<(), String> {
             if json {
                 // `output` is the derived graph's destination, so the
                 // report document goes to stdout (like `convert`).
-                emit_json(&report, &None)?;
-            } else {
-                eprintln!(
-                    "derived {op} -> {output}: {} x {}, {} edges",
-                    report.num_u, report.num_v, report.num_edges
-                );
+                return emit(&pretty(&report)?, &None);
             }
+            eprintln!(
+                "derived {op} -> {output}: {} x {}, {} edges",
+                report.num_u, report.num_v, report.num_edges
+            );
             Ok(())
         }
         Command::KTips { input, side, k } => {
             let g = load(&input)?;
             let d = receipt::tip_decompose(&g, side, &Config::default());
             let comps = hierarchy::ktip_components(g.view(side), &d.tip, k);
-            println!("# {} {k}-tip component(s)", comps.len());
+            let mut text = format!("# {} {k}-tip component(s)\n", comps.len());
             for (i, c) in comps.iter().enumerate() {
-                println!(
-                    "{i}\t{}\t{}",
-                    c.len(),
-                    c.iter()
-                        .map(|u| u.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
+                let members: Vec<String> = c.iter().map(|u| u.to_string()).collect();
+                text += &format!("{i}\t{}\t{}\n", c.len(), members.join(","));
             }
-            Ok(())
+            emit(&text, &None)
         }
         Command::Stats { input } => {
             let g = load(&input)?;
             let vu = g.view(Side::U);
             let vv = g.view(Side::V);
             let c = butterfly::par_count_graph(&g);
-            println!("|U| = {}", g.num_u());
-            println!("|V| = {}", g.num_v());
-            println!("|E| = {}", g.num_edges());
-            println!(
-                "avg degree U/V = {:.2} / {:.2}",
+            let text = format!(
+                "|U| = {}\n|V| = {}\n|E| = {}\navg degree U/V = {:.2} / {:.2}\n\
+                 butterflies = {}\nwedges (U endpoints) = {}\nwedges (V endpoints) = {}\n",
+                g.num_u(),
+                g.num_v(),
+                g.num_edges(),
                 bigraph::stats::avg_primary_degree(vu),
-                bigraph::stats::avg_primary_degree(vv)
-            );
-            println!("butterflies = {}", c.total());
-            println!(
-                "wedges (U endpoints) = {}",
-                bigraph::stats::total_primary_wedges(vu)
-            );
-            println!(
-                "wedges (V endpoints) = {}",
+                bigraph::stats::avg_primary_degree(vv),
+                c.total(),
+                bigraph::stats::total_primary_wedges(vu),
                 bigraph::stats::total_primary_wedges(vv)
             );
-            Ok(())
+            emit(&text, &None)
         }
         Command::Generate { preset, output } => {
             let spec = bigraph::datasets::by_name(&preset)
@@ -1774,6 +1727,15 @@ mod tests {
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn engine_options(dirty_threshold: f64, verify: bool) -> EngineOptions {
+        EngineOptions {
+            dirty_threshold,
+            compact_threshold: 0.25,
+            verify,
+            ..EngineOptions::default()
+        }
     }
 
     #[test]
@@ -1861,21 +1823,23 @@ mod tests {
                 input,
                 ops,
                 side,
-                dirty_threshold,
-                compact_threshold,
-                verify,
+                options,
                 json,
                 ..
             } => {
                 assert_eq!(input, "g.tsv");
                 assert_eq!(ops, "ops.txt");
                 assert_eq!(side, Side::U);
-                assert_eq!(dirty_threshold, receipt::dynamic::DEFAULT_DIRTY_THRESHOLD);
                 assert_eq!(
-                    compact_threshold,
+                    options.dirty_threshold,
+                    receipt::dynamic::DEFAULT_DIRTY_THRESHOLD
+                );
+                assert_eq!(
+                    options.compact_threshold,
                     bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD
                 );
-                assert!(!verify && !json);
+                assert_eq!(options.config, Config::default());
+                assert!(!options.verify && !json);
             }
             other => panic!("{other:?}"),
         }
@@ -1894,14 +1858,13 @@ mod tests {
         match cmd {
             Command::Stream {
                 side,
-                dirty_threshold,
-                verify,
+                options,
                 json,
                 ..
             } => {
                 assert_eq!(side, Side::V);
-                assert_eq!(dirty_threshold, 0.5);
-                assert!(verify && json);
+                assert_eq!(options.dirty_threshold, 0.5);
+                assert!(options.verify && json);
             }
             other => panic!("{other:?}"),
         }
@@ -1923,10 +1886,7 @@ mod tests {
             input: graph_path.to_string_lossy().into_owned(),
             ops: ops_path.to_string_lossy().into_owned(),
             side: Side::U,
-            config: Config::default(),
-            dirty_threshold: 0.5,
-            compact_threshold: 0.25,
-            verify: true,
+            options: engine_options(0.5, true),
             output: Some(out_path.to_string_lossy().into_owned()),
             json: true,
         })
@@ -1943,10 +1903,7 @@ mod tests {
             input: graph_path.to_string_lossy().into_owned(),
             ops: ops_path.to_string_lossy().into_owned(),
             side: Side::U,
-            config: Config::default(),
-            dirty_threshold: 0.5,
-            compact_threshold: 0.25,
-            verify: false,
+            options: engine_options(0.5, false),
             output: None,
             json: true,
         })
@@ -1970,10 +1927,7 @@ mod tests {
             input: graph_path.to_string_lossy().into_owned(),
             ops: ops_path.to_string_lossy().into_owned(),
             side: Side::U,
-            config: Config::default(),
-            dirty_threshold: 0.2,
-            compact_threshold: 0.25,
-            verify: true,
+            options: engine_options(0.2, true),
             output: Some(out_path.to_string_lossy().into_owned()),
             json: true,
         })
@@ -2276,5 +2230,195 @@ mod tests {
         ]))
         .is_err());
         assert!(parse(&sv(&["derive", "invert", "a.tsv", "--output", "o"])).is_err());
+    }
+
+    #[test]
+    fn options_may_come_in_any_position() {
+        let cmd = parse(&sv(&["tip", "--side", "V", "g.tsv"])).unwrap();
+        assert_eq!(cmd, parse(&sv(&["tip", "g.tsv", "--side", "V"])).unwrap());
+        match cmd {
+            Command::Tip { input, side, .. } => {
+                assert_eq!(input, "g.tsv");
+                assert_eq!(side, Side::V);
+            }
+            other => panic!("{other:?}"),
+        }
+        let cmd = parse(&sv(&[
+            "stream",
+            "--verify",
+            "g.tsv",
+            "--side",
+            "V",
+            "ops.txt",
+            "--threads",
+            "2",
+        ]))
+        .unwrap();
+        match cmd {
+            Command::Stream {
+                input,
+                ops,
+                side,
+                options,
+                ..
+            } => {
+                assert_eq!((input.as_str(), ops.as_str()), ("g.tsv", "ops.txt"));
+                assert_eq!(side, Side::V);
+                assert!(options.verify);
+                assert_eq!(options.config.threads, 2);
+            }
+            other => panic!("{other:?}"),
+        }
+        // The operation word of `version`/`derive` may follow options too.
+        let cmd = parse(&sv(&["version", "--json", "list", "store"])).unwrap();
+        assert!(matches!(cmd, Command::Version { ref op, json: true, .. } if op == "list"));
+    }
+
+    #[test]
+    fn undeclared_options_and_missing_values_name_the_option() {
+        let cases: [(&[&str], &str); 9] = [
+            (
+                &[
+                    "tip",
+                    "it.tsv",
+                    "--no-hcu",
+                    "--partiton",
+                    "7",
+                    "--sied",
+                    "V",
+                ],
+                "--no-hcu",
+            ),
+            (
+                &[
+                    "serve",
+                    "it.tsv",
+                    "--checkpoint_every",
+                    "3",
+                    "--requests",
+                    "R",
+                ],
+                "--checkpoint_every",
+            ),
+            (&["tip", "it.tsv", "--output"], "--output"),
+            (&["tip", "it.tsv", "--output", "--json"], "--output"),
+            (&["ktips", "g.tsv", "-k"], "-k"),
+            // Declared for other subcommands only.
+            (&["serve", "g.tsv", "--side", "V"], "--side"),
+            (&["convert", "a", "b", "--output", "c"], "--output"),
+            (
+                &["version", "tag", "store", "v1", "--dump", "g.tsv"],
+                "--dump",
+            ),
+            (&["tip", "a.tsv", "b.tsv"], "b.tsv"),
+        ];
+        for (args, named) in cases {
+            let err = parse(&sv(args)).unwrap_err();
+            assert!(err.0.contains(named), "{args:?}: {err}");
+        }
+    }
+
+    /// USAGE shows exactly the options and the number of positionals each
+    /// table entry accepts: its `tipdecomp <name>` line plus the indented
+    /// continuation lines under it.
+    #[test]
+    fn usage_matches_the_option_table() {
+        let lines: Vec<&str> = USAGE.lines().collect();
+        for spec in SPECS {
+            let head = format!("tipdecomp {} ", spec.name);
+            let start = lines
+                .iter()
+                .position(|l| {
+                    l.split_whitespace()
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                        .starts_with(&head)
+                })
+                .unwrap_or_else(|| panic!("USAGE has no line for `{}`", spec.name));
+            let words: Vec<&str> = std::iter::once(lines[start])
+                .chain(
+                    lines[start + 1..]
+                        .iter()
+                        .copied()
+                        .take_while(|l| l.starts_with("   ")),
+                )
+                .flat_map(|l| l.split_whitespace())
+                .map(|w| w.trim_matches(|c| c == '[' || c == ']'))
+                .collect();
+            let mut shown: Vec<&str> = words
+                .iter()
+                .copied()
+                .filter(|w| w.starts_with('-'))
+                .collect();
+            let mut declared: Vec<&str> = spec.values.iter().chain(spec.flags).copied().collect();
+            shown.sort_unstable();
+            declared.sort_unstable();
+            assert_eq!(shown, declared, "options of `{}`", spec.name);
+            let placeholders = words.iter().filter(|w| w.starts_with('<')).count();
+            assert_eq!(
+                placeholders,
+                spec.positionals.len(),
+                "positionals of `{}`",
+                spec.name
+            );
+        }
+    }
+
+    /// The scanner decides whether an option takes a value before it
+    /// knows the `version`/`derive` operation, so entries sharing a
+    /// subcommand word must agree on it.
+    #[test]
+    fn entries_of_one_subcommand_agree_on_value_options() {
+        for a in SPECS {
+            for b in SPECS.iter().filter(|b| b.words().0 == a.words().0) {
+                for flag in a.flags {
+                    assert!(!b.takes_value(flag), "{flag} in `{}`/`{}`", a.name, b.name);
+                }
+            }
+        }
+    }
+
+    /// Every complete `tipdecomp` command line in CI and the README, and
+    /// the two the benchmark spawns (`perfbench/src/tip_static.rs`,
+    /// `perfbench/src/serve_topk.rs`), parses.
+    #[test]
+    fn documented_command_lines_parse() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut lines = vec![
+            "tip g.tsv --side U --threads 2 --output tips.tsv".to_string(),
+            "serve g.tsv --socket serve.sock --wal store --checkpoint-every 16".to_string(),
+        ];
+        for file in [".github/workflows/ci.yml", "README.md"] {
+            let text = std::fs::read_to_string(root.join(file)).unwrap();
+            let text = text
+                .replace("\\\n", " ")
+                .replace("${{ matrix.threads }}", "1");
+            let before = lines.len();
+            for line in text.lines() {
+                for (i, _) in line.match_indices("tipdecomp ") {
+                    let (lead, rest) = (&line[..i], &line[i + "tipdecomp ".len()..]);
+                    // Shell lines run the built binary or follow a `$`
+                    // prompt; prose quotes a whole command in backticks.
+                    let command = if lead.ends_with("release/") || lead.trim_end().ends_with('$') {
+                        rest.split('#').next().unwrap_or_default()
+                    } else if lead.ends_with('`') {
+                        match rest.split_once('`') {
+                            Some((quoted, _)) if quoted.split_whitespace().count() > 1 => quoted,
+                            _ => continue,
+                        }
+                    } else {
+                        continue;
+                    };
+                    lines.push(command.trim().to_string());
+                }
+            }
+            assert!(lines.len() > before, "no command lines found in {file}");
+        }
+        for line in &lines {
+            let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+            if let Err(e) = parse(&args) {
+                panic!("`tipdecomp {line}` does not parse: {e}");
+            }
+        }
     }
 }

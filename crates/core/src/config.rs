@@ -85,6 +85,18 @@ impl Config {
             rayon::current_num_threads()
         }
     }
+
+    /// Runs `f` as [`Config::threads`] says: inside a dedicated pool of
+    /// that size when it is nonzero, else on the ambient pool. Every
+    /// entry point that honours `threads` (static decomposition, the
+    /// `tipdecomp stream` and `serve`) goes through here.
+    pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
+        if self.threads > 0 {
+            parutil::with_pool(self.threads, f)
+        } else {
+            f()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -124,6 +136,15 @@ mod tests {
     fn effective_threads_prefers_explicit() {
         assert_eq!(Config::default().with_threads(3).effective_threads(), 3);
         assert!(Config::default().effective_threads() >= 1);
+    }
+
+    #[test]
+    fn install_pins_only_an_explicit_thread_count() {
+        let pinned = Config::default().with_threads(3);
+        assert_eq!(pinned.install(rayon::current_num_threads), 3);
+        let ambient =
+            parutil::with_pool(2, || Config::default().install(rayon::current_num_threads));
+        assert_eq!(ambient, 2);
     }
 
     #[test]

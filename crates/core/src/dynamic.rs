@@ -257,14 +257,9 @@ pub fn verify_against_scratch(
 /// of a decomposition (tip or wing numbers in id order), embedded in
 /// reports so cross-run comparisons need not inline full vectors.
 pub fn fnv1a_u64(values: &[u64]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &value in values {
-        for byte in value.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    let mut hash = bigraph::bytes::Fnv1a::new();
+    values.iter().for_each(|&value| hash.word(value));
+    hash.finish()
 }
 
 #[cfg(test)]

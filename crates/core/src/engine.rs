@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Construction knobs for a [`StreamEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineOptions {
     /// Decomposition configuration used by the tip updates (partitions,
     /// heap arity, pinned thread count, HUC/DGM toggles).

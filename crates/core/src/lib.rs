@@ -118,15 +118,10 @@ impl TipDecomposition {
 /// count, and the HUC/DGM toggles (Theorem 2 of the paper); the metrics
 /// (wedge counts, rounds) depend on the configuration.
 pub fn tip_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> TipDecomposition {
-    let run = || {
+    config.install(|| {
         let coarse = cd::coarse_decompose(g, side, config);
         fd::fine_decompose(g.view(side), coarse, config)
-    };
-    if config.threads > 0 {
-        parutil::with_pool(config.threads, run)
-    } else {
-        run()
-    }
+    })
 }
 
 #[cfg(test)]

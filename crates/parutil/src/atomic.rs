@@ -2,25 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Pads a value to a 64-byte cache line to avoid false sharing between
-/// per-thread counters that live next to each other in a `Vec`.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub struct CachePadded<T>(pub T);
-
-impl<T> CachePadded<T> {
-    pub fn new(value: T) -> Self {
-        CachePadded(value)
-    }
-}
-
-impl<T> std::ops::Deref for CachePadded<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
 /// Atomically performs `x = max(floor, x.saturating_sub(delta))` and returns
 /// the value observed *before* the update.
 ///
@@ -43,31 +24,6 @@ pub fn saturating_sub_floor(cell: &AtomicU64, delta: u64, floor: u64) -> u64 {
             Ok(prev) => return prev,
             Err(observed) => cur = observed,
         }
-    }
-}
-
-/// A relaxed monotone counter for metrics (wedges traversed, updates
-/// applied). Wraps `AtomicU64` so call sites read as intent, not mechanism.
-#[derive(Debug, Default)]
-pub struct RelaxedCounter(AtomicU64);
-
-impl RelaxedCounter {
-    pub fn new() -> Self {
-        RelaxedCounter(AtomicU64::new(0))
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -146,22 +102,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.load(Ordering::Relaxed), 1_000_000 - 4 * 1000 * 7);
-    }
-
-    #[test]
-    fn relaxed_counter_accumulates() {
-        let c = RelaxedCounter::new();
-        c.add(5);
-        c.add(7);
-        assert_eq!(c.get(), 12);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn cache_padded_is_aligned() {
-        assert!(std::mem::align_of::<CachePadded<u64>>() >= 64);
-        let p = CachePadded::new(42u64);
-        assert_eq!(*p, 42);
     }
 }

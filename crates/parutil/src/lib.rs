@@ -3,18 +3,15 @@
 //! The original system is written in C++/OpenMP. This crate provides the
 //! Rust equivalents the rest of the workspace relies on:
 //!
-//! * [`atomic`] — cache-line padded atomics and a floor-saturating
-//!   atomic subtract (the support-update primitive from Lemma 2 of the
-//!   paper).
+//! * [`atomic`] — a floor-saturating atomic subtract (the support-update
+//!   primitive from Lemma 2 of the paper).
 //! * [`scan`] — sequential and parallel prefix sums (used by CSR builders
 //!   and the range-determination `work` histogram of Algorithm 3).
 //! * [`pool`] — a scratch-buffer pool so parallel peeling iterations can
 //!   reuse dense per-thread wedge-aggregation arrays without re-allocating
 //!   `O(n)` memory per iteration.
-//! * [`timer`] — phase timers used to produce the execution-time breakdowns
-//!   of Figures 8–9.
-//! * [`thread`] — helpers for running a closure inside a rayon pool of an
-//!   exact size (the paper sweeps thread counts for Figures 10–11).
+//! * [`thread`] — running a closure inside a rayon pool of an exact size
+//!   (the paper sweeps thread counts for Figures 10–11).
 
 #![forbid(unsafe_code)]
 
@@ -22,10 +19,8 @@ pub mod atomic;
 pub mod pool;
 pub mod scan;
 pub mod thread;
-pub mod timer;
 
-pub use atomic::{saturating_sub_floor, CachePadded};
+pub use atomic::saturating_sub_floor;
 pub use pool::ScratchPool;
 pub use scan::{exclusive_prefix_sum, inclusive_prefix_sum, par_exclusive_prefix_sum};
 pub use thread::with_pool;
-pub use timer::PhaseTimer;

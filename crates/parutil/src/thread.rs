@@ -22,25 +22,6 @@ pub fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     pool.install(f)
 }
 
-/// Splits `0..len` into at most `parts` contiguous, nearly equal chunks.
-/// Returns `(start, end)` pairs; never returns empty chunks.
-pub fn balanced_chunks(len: usize, parts: usize) -> Vec<(usize, usize)> {
-    if len == 0 || parts == 0 {
-        return Vec::new();
-    }
-    let parts = parts.min(len);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let size = base + usize::from(i < extra);
-        out.push((start, start + size));
-        start += size;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,29 +39,5 @@ mod tests {
     fn with_pool_runs_parallel_work() {
         let sum: u64 = with_pool(2, || (0u64..1000).into_par_iter().sum());
         assert_eq!(sum, 499_500);
-    }
-
-    #[test]
-    fn balanced_chunks_cover_range() {
-        for len in [0usize, 1, 7, 100] {
-            for parts in [1usize, 2, 3, 8, 200] {
-                let chunks = balanced_chunks(len, parts);
-                let covered: usize = chunks.iter().map(|(s, e)| e - s).sum();
-                assert_eq!(covered, len);
-                for w in chunks.windows(2) {
-                    assert_eq!(w[0].1, w[1].0); // contiguous
-                }
-                for (s, e) in &chunks {
-                    assert!(s < e, "no empty chunks");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn balanced_chunks_sizes_differ_by_at_most_one() {
-        let chunks = balanced_chunks(10, 3);
-        let sizes: Vec<usize> = chunks.iter().map(|(s, e)| e - s).collect();
-        assert_eq!(sizes, vec![4, 3, 3]);
     }
 }
