@@ -1,5 +1,6 @@
 //! End-to-end tip decomposition: BUP vs ParB vs RECEIPT (the `t(s)` columns
-//! of Table 3, miniature scale).
+//! of Table 3, miniature scale), and the dynamic path's seeded re-peel:
+//! `peel_all` against `peel_live` from the same counts.
 
 mod common;
 
@@ -16,6 +17,15 @@ fn bench_decomposition(c: &mut Criterion) {
     for (name, g) in [("skewed", &skewed), ("mild", &mild)] {
         group.bench_function(format!("bup/{name}"), |b| {
             b.iter(|| black_box(receipt::bup::bup_decompose(g, Side::U, 4)))
+        });
+        // A seeded re-peel starts from maintained counts, so only the
+        // peel is timed.
+        let counts = butterfly::count_graph(g);
+        group.bench_function(format!("seeded_repeel/{name}/peel_all"), |b| {
+            b.iter(|| black_box(receipt::bup::peel_all(g.view(Side::U), &counts.u, 4)))
+        });
+        group.bench_function(format!("seeded_repeel/{name}/peel_live"), |b| {
+            b.iter(|| black_box(receipt::bup::peel_live(g.view(Side::U), &counts.u, 4)))
         });
         group.bench_function(format!("parb/{name}"), |b| {
             b.iter(|| black_box(receipt::parb::parb_decompose(g, Side::U, 4)))

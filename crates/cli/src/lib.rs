@@ -795,10 +795,17 @@ pub fn write_frame(writer: &mut dyn Write, payload: &str) -> Result<(), String> 
     writer.flush().map_err(|e| e.to_string())
 }
 
+/// A request field that is present and not `null`. Absent and `null`
+/// fields take their default; a present field of the wrong type is an
+/// `ok: false` answer naming it.
+fn req_field<'a>(value: &'a serde_json::Value, field: &str) -> Option<&'a serde_json::Value> {
+    value.get(field).filter(|e| !e.is_null())
+}
+
 /// Reads an optional vertex-id field, shifting it down when the graph
 /// file (and therefore the wire protocol) is 1-based.
 fn req_id(value: &serde_json::Value, field: &str, one_based: bool) -> Result<Option<u32>, String> {
-    let Some(entry) = value.get(field).filter(|e| !e.is_null()) else {
+    let Some(entry) = req_field(value, field) else {
         return Ok(None);
     };
     let id = entry
@@ -815,13 +822,27 @@ fn req_id(value: &serde_json::Value, field: &str, one_based: bool) -> Result<Opt
         .map_err(|_| format!("{field} {id} out of range"))
 }
 
+/// The optional `side` field: `"U"` or `"V"` in either case, U by default.
 fn req_side(value: &serde_json::Value) -> Result<Side, String> {
-    match value.get("side").and_then(|s| s.as_str()) {
-        None => Ok(Side::U),
+    let Some(entry) = req_field(value, "side") else {
+        return Ok(Side::U);
+    };
+    match entry.as_str() {
         Some(s) if s.eq_ignore_ascii_case("U") => Ok(Side::U),
         Some(s) if s.eq_ignore_ascii_case("V") => Ok(Side::V),
-        Some(other) => Err(format!("side must be U or V, got {other:?}")),
+        _ => Err(format!("side must be \"U\" or \"V\", got {entry}")),
     }
+}
+
+/// `topk`'s optional `k`: a non-negative integer, 10 by default.
+fn req_k(value: &serde_json::Value) -> Result<usize, String> {
+    let Some(entry) = req_field(value, "k") else {
+        return Ok(10);
+    };
+    entry
+        .as_u64()
+        .map(|k| usize::try_from(k).unwrap_or(usize::MAX))
+        .ok_or_else(|| format!("k must be a non-negative integer, got {entry}"))
 }
 
 /// Answers one serve request. `Ok((response, shutdown))` covers both
@@ -850,14 +871,14 @@ pub fn handle_request(
         return fail("?", "request needs a string `op` field".into());
     };
 
-    let has_vertex = value.get("vertex").is_some_and(|v| !v.is_null());
+    let side = match req_side(&value) {
+        Ok(s) => s,
+        Err(e) => return fail(&op, e),
+    };
+    let has_vertex = req_field(&value, "vertex").is_some();
     let mut response = ServeResponse::new(seq, &op, epoch);
     match op.as_str() {
         "tip" | "butterflies" if has_vertex || op == "tip" => {
-            let side = match req_side(&value) {
-                Ok(s) => s,
-                Err(e) => return fail(&op, e),
-            };
             let vertex = match req_id(&value, "vertex", one_based) {
                 Ok(Some(v)) => v,
                 Ok(None) => return fail(&op, format!("{op} needs a `vertex` field")),
@@ -894,11 +915,10 @@ pub fn handle_request(
             }
         }
         "topk" => {
-            let side = match req_side(&value) {
-                Ok(s) => s,
+            let k = match req_k(&value) {
+                Ok(k) => k,
                 Err(e) => return fail(&op, e),
             };
-            let k = value.get("k").and_then(|v| v.as_u64()).unwrap_or(10) as usize;
             let shift = u32::from(one_based);
             response.topk = Some(
                 snapshot
@@ -958,7 +978,7 @@ pub fn handle_request(
             response.epoch = outcome.epoch;
             response.batch = Some(receipt::report::StreamBatchReport::from_outcome(
                 outcome.epoch as usize - 1,
-                req_side(&value).unwrap_or(Side::U),
+                side,
                 &outcome,
             ));
         }
@@ -2022,6 +2042,60 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse(&sv(&["serve", "g.tsv", "--checkpoint-every", "x"])).is_err());
+    }
+
+    /// Answers one request against a fresh engine on 12 U vertices, four
+    /// of which form a K(4,2).
+    fn answer(request: &str) -> ServeResponse {
+        let mut edges: Vec<(u32, u32)> = (0..4).flat_map(|u| [(u, 0), (u, 1)]).collect();
+        edges.extend((4..12).map(|u| (u, 2)));
+        let g = bigraph::builder::from_edges(12, 3, &edges).unwrap();
+        let engine = StreamEngine::new(g, EngineOptions::default());
+        handle_request(&engine, false, 0, request).unwrap().0
+    }
+
+    #[test]
+    fn topk_k_must_be_a_non_negative_integer() {
+        for request in [
+            r#"{"op":"topk","k":"2"}"#,
+            r#"{"op":"topk","k":-1}"#,
+            r#"{"op":"topk","k":1.5}"#,
+            r#"{"op":"topk","k":[2]}"#,
+        ] {
+            let response = answer(request);
+            assert!(!response.ok, "{request}");
+            assert!(response.topk.is_none(), "{request}");
+            let error = response.error.unwrap();
+            assert!(error.starts_with("k must be"), "{request}: {error}");
+        }
+        let len = |request: &str| answer(request).topk.map(|t| t.len());
+        assert_eq!(len(r#"{"op":"topk","k":2}"#), Some(2));
+        assert_eq!(len(r#"{"op":"topk","k":0}"#), Some(0));
+        // Absent and null keep the default of 10.
+        assert_eq!(len(r#"{"op":"topk"}"#), Some(10));
+        assert_eq!(len(r#"{"op":"topk","k":null}"#), Some(10));
+    }
+
+    #[test]
+    fn side_must_be_u_or_v_on_every_op() {
+        for op in ["tip", "butterflies", "topk", "stats", "apply"] {
+            for side in ["7", r#""W""#, "true", r#"["U"]"#] {
+                let request = format!(r#"{{"op":"{op}","vertex":0,"ops":[],"side":{side}}}"#);
+                let response = answer(&request);
+                assert!(!response.ok, "{request}");
+                assert_eq!(response.op, op);
+                let error = response.error.unwrap();
+                assert!(error.starts_with("side must be"), "{request}: {error}");
+            }
+        }
+        let topk_side = |request: &str| answer(request).topk.unwrap()[0].side;
+        assert_eq!(topk_side(r#"{"op":"topk"}"#), Side::U);
+        assert_eq!(topk_side(r#"{"op":"topk","side":null}"#), Side::U);
+        assert_eq!(topk_side(r#"{"op":"topk","side":"v"}"#), Side::V);
+        // The K(4,2) members hold 3 butterflies each; side V's two hold 6.
+        let tip = |request: &str| answer(request).value;
+        assert_eq!(tip(r#"{"op":"tip","vertex":0,"side":"U"}"#), Some(3));
+        assert_eq!(tip(r#"{"op":"tip","vertex":0,"side":"V"}"#), Some(6));
     }
 
     #[test]

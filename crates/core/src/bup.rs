@@ -1,7 +1,10 @@
 //! Sequential Bottom-Up Peeling (Algorithm 2) — the classical tip
-//! decomposition and the inner loop of fine-grained decomposition.
+//! decomposition and the inner loop of fine-grained decomposition — and
+//! [`peel_live`], the same peel with less wedge work, which the dynamic
+//! path re-peels with.
 
 use crate::heap::IndexedMinHeap;
+use crate::queue::DecreaseKeyQueue;
 use bigraph::{BipartiteCsr, Side, SideGraph, VertexId};
 use std::time::Instant;
 
@@ -35,9 +38,8 @@ pub fn peel_all(view: SideGraph<'_>, init_support: &[u64], heap_arity: usize) ->
 
 /// [`peel_all`] parameterized by the priority queue — the §5.1 ablation
 /// (k-way indexed heap vs Fibonacci heap vs bucketing). Any
-/// [`DecreaseKeyQueue`](crate::queue::DecreaseKeyQueue) pre-loaded with the
-/// initial supports works.
-pub fn peel_all_with_queue<Q: crate::queue::DecreaseKeyQueue>(
+/// [`DecreaseKeyQueue`] pre-loaded with the initial supports works.
+pub fn peel_all_with_queue<Q: DecreaseKeyQueue>(
     view: SideGraph<'_>,
     n: usize,
     mut queue: Q,
@@ -66,12 +68,128 @@ pub fn peel_all_with_queue<Q: crate::queue::DecreaseKeyQueue>(
         for &u2 in &touched {
             let c = cnt[u2 as usize] as u64;
             cnt[u2 as usize] = 0;
-            if c >= 2 {
-                if let Some(cur) = queue.key(u2) {
-                    let shared = c * (c - 1) / 2;
-                    queue.decrease_key(u2, cur.saturating_sub(shared).max(theta));
-                }
+            decrement_shared(&mut queue, u2, c, theta);
+        }
+        touched.clear();
+    }
+    (tip, wedges)
+}
+
+/// Algorithm 2 line 13: `u2` shares `c` neighbours, so `C(c, 2)`
+/// butterflies, with the vertex just peeled at `theta`; lower its support
+/// by that many, never below `theta`. No-op once `u2` is peeled.
+#[inline]
+fn decrement_shared<Q: DecreaseKeyQueue>(queue: &mut Q, u2: VertexId, c: u64, theta: u64) {
+    if c >= 2 {
+        if let Some(cur) = queue.key(u2) {
+            queue.decrease_key(u2, cur.saturating_sub(c * (c - 1) / 2).max(theta));
+        }
+    }
+}
+
+/// The secondary adjacency restricted to unpeeled primary vertices:
+/// `adj[start[s]..end[s]]` lists the live neighbours of `s` in ascending
+/// id order.
+struct LiveAdjacency {
+    start: Vec<usize>,
+    end: Vec<usize>,
+    adj: Vec<VertexId>,
+}
+
+impl LiveAdjacency {
+    fn new(view: SideGraph<'_>) -> Self {
+        let ns = view.num_secondary();
+        let mut start = Vec::with_capacity(ns);
+        let mut end = Vec::with_capacity(ns);
+        let mut adj = Vec::with_capacity(view.num_edges());
+        for s in 0..ns as VertexId {
+            start.push(adj.len());
+            adj.extend_from_slice(view.neighbors_secondary(s));
+            end.push(adj.len());
+        }
+        LiveAdjacency { start, end, adj }
+    }
+
+    #[inline]
+    fn list(&self, s: VertexId) -> &[VertexId] {
+        &self.adj[self.start[s as usize]..self.end[s as usize]]
+    }
+
+    /// Removes the live vertex `p` from the list of its neighbour `s`,
+    /// keeping the order, and returns the list's new length.
+    #[inline]
+    fn remove(&mut self, s: VertexId, p: VertexId) -> usize {
+        let (start, end) = (self.start[s as usize], self.end[s as usize]);
+        let list = &mut self.adj[start..end];
+        let at = list
+            .binary_search(&p)
+            .expect("a live vertex is on its neighbours' live lists");
+        list.copy_within(at + 1.., at);
+        self.end[s as usize] -= 1;
+        end - 1 - start
+    }
+}
+
+/// [`peel_all`] with two exact savings, for the dynamic path's re-peels;
+/// the tip numbers are the same. Returns `(tip numbers, wedges traversed)`,
+/// where a hub probe counts as one wedge.
+///
+/// * **Live adjacency.** It peels on a per-call copy of the secondary
+///   adjacency and removes each popped vertex from its neighbours' lists,
+///   so a wedge is walked only from the end peeled first: exactly half of
+///   `peel_all`'s wedges.
+/// * **Hub probe.** When one neighbour's live list is longer than the
+///   popped vertex's other lists combined, that list is not scanned. A
+///   pair shares a butterfly only with 2 or more common neighbours, so
+///   every vertex due a decrement also sits on another list; its +1 for
+///   the skipped list comes from a binary search for the hub in its own
+///   sorted adjacency. The probes cost fewer wedges than the scan would.
+pub fn peel_live(view: SideGraph<'_>, init_support: &[u64], heap_arity: usize) -> (Vec<u64>, u64) {
+    let n = init_support.len();
+    debug_assert_eq!(n, view.num_primary());
+    let mut heap = IndexedMinHeap::new(heap_arity, init_support);
+    let mut live = LiveAdjacency::new(view);
+    let mut tip = vec![0u64; n];
+    let mut cnt = vec![0u32; n];
+    let mut touched: Vec<VertexId> = Vec::new();
+    let mut wedges = 0u64;
+
+    while let Some((u, theta)) = heap.pop_min() {
+        tip[u as usize] = theta;
+        let neighbors = view.neighbors_primary(u);
+        let (mut hub, mut hub_len, mut all_len) = (0, 0, 0);
+        for &v in neighbors {
+            let len = live.remove(v, u);
+            all_len += len;
+            if len > hub_len {
+                (hub, hub_len) = (v, len);
             }
+        }
+        let skip = (hub_len > all_len - hub_len).then_some(hub);
+        for &v in neighbors {
+            if Some(v) == skip {
+                continue;
+            }
+            let list = live.list(v);
+            wedges += list.len() as u64;
+            for &u2 in list {
+                let c = &mut cnt[u2 as usize];
+                if *c == 0 {
+                    touched.push(u2);
+                }
+                *c += 1;
+            }
+        }
+        if skip.is_some() {
+            wedges += touched.len() as u64;
+        }
+        for &u2 in &touched {
+            let mut c = cnt[u2 as usize] as u64;
+            cnt[u2 as usize] = 0;
+            if let Some(hub) = skip {
+                c += view.neighbors_primary(u2).binary_search(&hub).is_ok() as u64;
+            }
+            decrement_shared(&mut heap, u2, c, theta);
         }
         touched.clear();
     }
@@ -151,6 +269,12 @@ mod tests {
         .unwrap()
     }
 
+    /// The complete bipartite graph K(nu, nv).
+    fn complete(nu: u32, nv: u32) -> BipartiteCsr {
+        let edges: Vec<_> = (0..nu).flat_map(|u| (0..nv).map(move |v| (u, v))).collect();
+        from_edges(nu as usize, nv as usize, &edges).unwrap()
+    }
+
     #[test]
     fn fig1_tip_numbers() {
         let r = bup_decompose(&fig1_graph(), Side::U, 4);
@@ -159,13 +283,7 @@ mod tests {
 
     #[test]
     fn k33_tip_numbers() {
-        let mut e = Vec::new();
-        for u in 0..3 {
-            for v in 0..3 {
-                e.push((u, v));
-            }
-        }
-        let g = from_edges(3, 3, &e).unwrap();
+        let g = complete(3, 3);
         // Every u of K(3,3) has 6 butterflies; the first peel records 6,
         // and the survivors' supports are clamped at max(θ=6, 6−3) = 6, so
         // the whole side is a 6-tip.
@@ -244,5 +362,58 @@ mod tests {
         let r = bup_decompose(&g, Side::U, 4);
         assert_eq!(r.tip, vec![0; 3]);
         assert_eq!(r.wedges_peel, 0);
+    }
+
+    /// Runs [`peel_live`] against [`peel_all`] from the same counts on
+    /// both sides at heap arities 2, 4 and 8. Returns per side whether the
+    /// hub probe ran: without it `peel_live` walks exactly half of
+    /// `peel_all`'s wedges, and each hub list it skips makes that fewer.
+    fn assert_live_matches_all(name: &str, g: &BipartiteCsr) -> [bool; 2] {
+        let counts = butterfly::count_graph(g);
+        [Side::U, Side::V].map(|side| {
+            let view = g.view(side);
+            let probed = [2, 4, 8].map(|arity| {
+                let (want, all_wedges) = peel_all(view, counts.side(side), arity);
+                let (got, live_wedges) = peel_live(view, counts.side(side), arity);
+                assert_eq!(got, want, "{name}, side {side}, arity {arity}");
+                assert!(
+                    2 * live_wedges <= all_wedges,
+                    "{name}, side {side}: {live_wedges} live wedges, {all_wedges} in peel_all"
+                );
+                2 * live_wedges < all_wedges
+            });
+            probed.contains(&true)
+        })
+    }
+
+    #[test]
+    fn peel_live_matches_peel_all() {
+        let graphs = [
+            ("zipf", gen::zipf(80, 50, 500, 0.5, 0.9, 3)),
+            ("planted", gen::planted_bicliques(40, 40, 3, 5, 5, 80, 4)),
+            ("uniform", gen::uniform(50, 40, 300, 8)),
+            ("fig1", fig1_graph()),
+            (
+                "star",
+                from_edges(4, 1, &[(0, 0), (1, 0), (2, 0), (3, 0)]).unwrap(),
+            ),
+            ("k33", complete(3, 3)),
+            ("empty", BipartiteCsr::empty(3, 3)),
+        ];
+        for (name, g) in &graphs {
+            assert_live_matches_all(name, g);
+        }
+    }
+
+    #[test]
+    fn hub_probe_runs_on_a_skewed_graph_only() {
+        // Zipf α_v = 1.1 over 40 V vertices: a few hubs hold most edges.
+        let skewed = gen::zipf(300, 40, 1500, 0.3, 1.1, 9);
+        assert!(assert_live_matches_all("skewed", &skewed)[0]);
+        // K(6,6): all lists are equally long, so none outweighs the rest.
+        assert_eq!(
+            assert_live_matches_all("balanced", &complete(6, 6)),
+            [false; 2]
+        );
     }
 }

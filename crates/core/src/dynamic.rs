@@ -11,16 +11,18 @@
 //!   set implies the whole decomposition is untouched (new vertices join
 //!   with tip 0).
 //! * **`SeededRepeel`** — the dirty frontier (vertices on a changed
-//!   butterfly) is small: re-peel the materialized graph seeded with the
-//!   incrementally maintained butterfly counts, skipping the counting
-//!   phase entirely — the dominant cost the paper's `∧_pvBcnt` column
-//!   measures.
+//!   butterfly) is small: re-peel the materialized graph with
+//!   [`crate::bup::peel_live`], seeded with the incrementally maintained
+//!   butterfly counts. Skipping the recount saves only its 18 ms on the
+//!   It analog's U side. The saving is in the peel, which walks each
+//!   wedge from one end only and probes hub lists instead of scanning
+//!   them: about a fifth of `peel_all`'s wedges there.
 //! * **`FullRecompute`** — the dirty fraction crossed the threshold: the
 //!   maintained counts no longer buy much, so fall back to the full
 //!   parallel [`crate::tip_decompose`] (CD + FD) on the materialized
 //!   graph.
 
-use crate::bup::peel_all;
+use crate::bup::peel_live;
 use crate::Config;
 use bigraph::Side;
 use butterfly::{BatchDelta, DynamicButterflyIndex};
@@ -32,7 +34,7 @@ use std::time::{Duration, Instant};
 pub enum UpdatePolicy {
     /// No butterflies changed — the decomposition is provably untouched.
     Unchanged,
-    /// Re-peel seeded with maintained counts, skipping the counting phase.
+    /// [`crate::bup::peel_live`] seeded with the maintained counts.
     SeededRepeel,
     /// Full parallel CD + FD pipeline from scratch.
     FullRecompute,
@@ -115,7 +117,7 @@ impl DynamicTipState {
         dirty_threshold: f64,
     ) -> Self {
         let g = index.materialize();
-        let (tip, _) = peel_all(g.view(side), index.counts_side(side), config.heap_arity);
+        let (tip, _) = peel_live(g.view(side), index.counts_side(side), config.heap_arity);
         DynamicTipState {
             side,
             config,
@@ -162,7 +164,7 @@ impl DynamicTipState {
             (UpdatePolicy::FullRecompute, d.metrics.wedges_total())
         } else {
             let g = index.materialize();
-            let (tip, wedges) = peel_all(
+            let (tip, wedges) = peel_live(
                 g.view(self.side),
                 index.counts_side(self.side),
                 self.config.heap_arity,
@@ -359,6 +361,32 @@ mod tests {
                 "schedule never exercised a recompute: {policies:?}"
             );
         }
+    }
+
+    #[test]
+    fn seeded_repeel_walks_fewer_wedges_than_peel_all() {
+        // Hub-skewed secondary side: the regime the live adjacency and the
+        // hub probe are for.
+        let g = gen::zipf(300, 40, 1500, 0.3, 1.1, 9);
+        let mut index = DynamicButterflyIndex::new(g);
+        let mut state = DynamicTipState::with_threshold(&index, Side::U, Config::default(), 1.0);
+        let op = if index.graph().has_edge(0, 0) {
+            EdgeOp::Delete(0, 0)
+        } else {
+            EdgeOp::Insert(0, 0)
+        };
+        let delta = index.apply_batch(&[op]);
+        let update = state.update(&index, &delta);
+        assert_eq!(update.policy, UpdatePolicy::SeededRepeel);
+        let g = index.materialize();
+        let (tip, all_wedges) =
+            crate::bup::peel_all(g.view(Side::U), index.counts_side(Side::U), 4);
+        assert_eq!(state.tip(), &tip[..]);
+        assert!(
+            update.wedges < all_wedges,
+            "seeded re-peel walked {} wedges, peel_all {all_wedges}",
+            update.wedges
+        );
     }
 
     #[test]

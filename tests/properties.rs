@@ -37,6 +37,19 @@ proptest! {
     }
 
     #[test]
+    fn peel_live_equals_peel_all(g in arb_graph(), arity in 2usize..9) {
+        let counts = butterfly::count_graph(&g);
+        for side in [Side::U, Side::V] {
+            let view = g.view(side);
+            let (all_tips, all_wedges) = bup::peel_all(view, counts.side(side), arity);
+            let (live_tips, live_wedges) = bup::peel_live(view, counts.side(side), arity);
+            prop_assert_eq!(&all_tips, &live_tips);
+            // Each wedge once instead of from both ends, or fewer.
+            prop_assert!(2 * live_wedges <= all_wedges);
+        }
+    }
+
+    #[test]
     fn tip_bounded_by_support_and_by_theta_max_of_neighbors(g in arb_graph()) {
         let counts = butterfly::count_graph(&g);
         let r = tip_decompose(&g, Side::U, &Config::default());
