@@ -77,17 +77,11 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
 
-    // DGM compaction with half the primary side dead.
+    // Edge compaction with half the primary side dead.
     let alive_u: Vec<bool> = (0..g.num_u()).map(|u| u % 2 == 0).collect();
     let alive_v = vec![true; g.num_v()];
     group.bench_function("compact_half_dead", |b| {
         b.iter(|| black_box(bigraph::compact::compact(&g, &alive_u, &alive_v)))
-    });
-
-    // Rank-preserving compaction (the PeelGraph/HUC path).
-    let ranked = bigraph::RankedGraph::from_csr(&g);
-    group.bench_function("ranked_compact_half_dead", |b| {
-        b.iter(|| black_box(ranked.compact(&alive_u, &alive_v)))
     });
 
     // Induced subgraph on a 10% subset (FD task setup).

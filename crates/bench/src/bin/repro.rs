@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p receipt-bench --bin repro -- <experiment> [--json] [--out FILE]
 //!   table2   dataset statistics (sizes, butterflies, wedges, θ_max)
-//!   table3   t / wedges / sync-rounds for pvBcnt, BUP, ParB, RECEIPT
+//!   table3   t / wedges / sync-rounds for pvBcnt, BUP, ParB, RECEIPT, peel_live
 //!   fig4     cumulative tip-number distribution (Tr analog, both sides)
 //!   fig5     RECEIPT execution time vs partition count P
 //!   fig6     ablation: wedges for RECEIPT / RECEIPT- / RECEIPT--
@@ -438,14 +438,16 @@ fn table2() {
 fn table3() {
     header("Table 3: t(s) / wedges(M) / sync rounds for all algorithms");
     println!(
-        "{:<5} {:>9} {:>9} {:>9} {:>10} | {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>9}",
+        "{:<5} {:>9} {:>9} {:>9} {:>10} {:>8} | {:>9} {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>9}",
         "data",
         "t_pvBcnt",
         "t_BUP",
         "t_ParB",
         "t_RECEIPT",
+        "t_live",
         "W_BUP",
         "W_RCPT",
+        "W_live",
         "W_pvBcnt",
         "rho_ParB",
         "rho_RCPT",
@@ -453,14 +455,16 @@ fn table3() {
     );
     for r in table3_rows() {
         println!(
-            "{:<5} {:>9.3} {:>9.3} {:>9.3} {:>10.3} | {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>9.1}",
+            "{:<5} {:>9.3} {:>9.3} {:>9.3} {:>10.3} {:>8.3} | {:>9} {:>9} {:>9} {:>10} | {:>8} {:>8} | {:>9.1}",
             r.workload,
             r.time_pvbcnt_secs,
             r.time_bup_secs,
             r.time_parb_secs,
             r.time_receipt_secs,
+            r.time_peel_live_secs,
             millions(r.wedges_bup),
             millions(r.wedges_receipt),
+            millions(r.wedges_peel_live),
             millions(r.wedges_pvbcnt),
             r.rounds_parb,
             r.rounds_receipt,

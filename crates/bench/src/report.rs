@@ -116,15 +116,19 @@ pub struct Table3Row {
     pub time_bup_secs: f64,
     pub time_parb_secs: f64,
     pub time_receipt_secs: f64,
+    /// `peel_live` from BUP's counts; like `time_bup_secs`, the peel only.
+    pub time_peel_live_secs: f64,
     pub wedges_bup: u64,
     pub wedges_receipt: u64,
+    /// `peel_live`'s wedges; like `wedges_bup`, counting plus peel.
+    pub wedges_peel_live: u64,
     pub wedges_pvbcnt: u64,
     pub rounds_parb: u64,
     pub rounds_receipt: u64,
     /// `r = ∧_peel / ∧_cnt` (§5.2.2).
     pub peel_to_count_ratio: f64,
-    /// RECEIPT and ParB agreed with BUP (asserted during the run; recorded
-    /// for differential consumers).
+    /// RECEIPT, ParB and `peel_live` agreed with BUP (asserted during the
+    /// run; recorded for differential consumers).
     pub tips_match: bool,
 }
 

@@ -11,7 +11,7 @@ use bigraph::{datasets::AnalogSpec, stats, BipartiteCsr, Side};
 use rayon::prelude::*;
 use receipt::engine::{EngineOptions, StreamEngine};
 use receipt::{bup::BaselineResult, Config, TipDecomposition};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A dataset instantiated for one peeled side (the paper's `ItU`, `ItV`, …
 /// naming).
@@ -74,6 +74,16 @@ pub fn run_bup(w: &Workload) -> BaselineResult {
 
 pub fn run_parb(w: &Workload) -> BaselineResult {
     receipt::parb::parb_decompose(&w.graph, w.side, 4)
+}
+
+/// `peel_live` from the counts BUP starts from: `(tips, peel wedges, peel
+/// time)`. Counting is not timed; BUP's own run reports it.
+pub fn run_peel_live(w: &Workload) -> (Vec<u64>, u64, Duration) {
+    let counts =
+        butterfly::count::vertex_priority_counts(&bigraph::RankedGraph::from_csr(&w.graph));
+    let t0 = Instant::now();
+    let (tip, wedges) = receipt::bup::peel_live(w.graph.view(w.side), counts.side(w.side), 4);
+    (tip, wedges, t0.elapsed())
 }
 
 /// FNV-1a over little-endian `u64` words — the digest behind
@@ -188,16 +198,20 @@ pub fn table3_rows() -> Vec<Table3Row> {
             let bup = run_bup(w);
             let parb = run_parb(w);
             let rcpt = run_receipt(w, &Config::default());
+            let (live_tip, live_wedges, live_time) = run_peel_live(w);
             assert_eq!(bup.tip, parb.tip, "{}: ParB diverged", w.label());
             assert_eq!(bup.tip, rcpt.tip, "{}: RECEIPT diverged", w.label());
+            assert_eq!(bup.tip, live_tip, "{}: peel_live diverged", w.label());
             Table3Row {
                 workload: w.label(),
                 time_pvbcnt_secs: bup.time_count.as_secs_f64(),
                 time_bup_secs: bup.time_peel.as_secs_f64(),
                 time_parb_secs: parb.time_peel.as_secs_f64(),
                 time_receipt_secs: rcpt.metrics.time_total().as_secs_f64(),
+                time_peel_live_secs: live_time.as_secs_f64(),
                 wedges_bup: bup.wedges_count + bup.wedges_peel,
                 wedges_receipt: rcpt.metrics.wedges_total(),
+                wedges_peel_live: bup.wedges_count + live_wedges,
                 wedges_pvbcnt: bup.wedges_count,
                 rounds_parb: parb.rounds,
                 rounds_receipt: rcpt.metrics.sync_rounds,

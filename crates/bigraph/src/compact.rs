@@ -1,12 +1,11 @@
-//! Parallel edge compaction — the data-structure half of Dynamic Graph
-//! Maintenance (§4.2 of the paper).
+//! Parallel edge compaction: rebuilds both adjacency directions keeping
+//! only edges whose both endpoints are alive. Vertex ids are preserved;
+//! only the edge arrays shrink.
 //!
-//! After a vertex is peeled it never participates in another update, but its
-//! edges still sit interleaved in the CSR arrays and every wedge crossing it
-//! is still *scanned*. DGM periodically rebuilds both adjacency directions
-//! keeping only edges whose both endpoints are alive. Vertex ids are
-//! preserved (supports and subset bookkeeping stay valid); only the edge
-//! arrays shrink.
+//! RECEIPT's Dynamic Graph Maintenance (§4.2) does not rebuild: it drops
+//! peeled vertices from live lists in place (`receipt::peel`). Compaction
+//! builds the live subgraph from scratch, the oracle those live structures
+//! and HUC's filtered re-counts are tested against.
 
 use crate::csr::BipartiteCsr;
 use crate::VertexId;
@@ -36,11 +35,10 @@ pub fn compact(g: &BipartiteCsr, alive_u: &[bool], alive_v: &[bool]) -> Bipartit
     BipartiteCsr::from_parts(u_offsets, u_adj, v_offsets, v_adj)
 }
 
-/// The one order-preserving adjacency filter: keeps the neighbours of every
-/// live vertex that are themselves alive, in list order. Both the plain CSR
-/// compaction above and [`crate::RankedGraph::compact`] (whose lists are
-/// rank-sorted) call it, so CD's and FD's DGM compactions share one routine.
-pub(crate) fn compact_one_side<'a>(
+/// The order-preserving adjacency filter of one direction: keeps the
+/// neighbours of every live vertex that are themselves alive, in list
+/// order.
+fn compact_one_side<'a>(
     n: usize,
     neighbors: impl Fn(VertexId) -> &'a [VertexId] + Sync,
     self_alive: impl Fn(VertexId) -> bool + Sync,

@@ -8,7 +8,6 @@
 //! ids but materialize a *global rank* over `W = U ∪ V` (rank 0 = highest
 //! degree) and adjacency copies sorted by neighbour rank.
 
-use crate::compact::compact_one_side;
 use crate::csr::BipartiteCsr;
 use crate::VertexId;
 use rayon::prelude::*;
@@ -136,40 +135,6 @@ impl RankedGraph {
     pub fn deg_v(&self, v: VertexId) -> usize {
         self.v_offsets[v as usize + 1] - self.v_offsets[v as usize]
     }
-
-    /// Drops every edge incident on a dead vertex, preserving the rank
-    /// order of the surviving adjacency (filtering keeps sorted lists
-    /// sorted) and the original ranks. This is what lets HUC re-count on
-    /// the live graph without re-ranking: vertex-priority counting is
-    /// correct under *any* fixed total order — the degree order only
-    /// tightens the complexity bound, and the original order stays a good
-    /// proxy as the graph shrinks.
-    pub fn compact(&self, alive_u: &[bool], alive_v: &[bool]) -> RankedGraph {
-        assert_eq!(alive_u.len(), self.nu);
-        assert_eq!(alive_v.len(), self.nv);
-        let (u_offsets, u_adj) = compact_one_side(
-            self.nu,
-            |u| self.neighbors_u(u),
-            |u| alive_u[u as usize],
-            |v| alive_v[v as usize],
-        );
-        let (v_offsets, v_adj) = compact_one_side(
-            self.nv,
-            |v| self.neighbors_v(v),
-            |v| alive_v[v as usize],
-            |u| alive_u[u as usize],
-        );
-        RankedGraph {
-            nu: self.nu,
-            nv: self.nv,
-            rank_u: self.rank_u.clone(),
-            rank_v: self.rank_v.clone(),
-            u_offsets,
-            u_adj,
-            v_offsets,
-            v_adj,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -242,38 +207,5 @@ mod tests {
         let r = ranked(2, 2, &[]);
         assert_eq!(r.num_edges(), 0);
         assert!(r.neighbors_u(1).is_empty());
-    }
-
-    #[test]
-    fn compact_preserves_rank_order_and_ranks() {
-        let r = ranked(3, 3, &[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]);
-        let c = r.compact(&[true, false, true], &[true, true, true]);
-        // u1's edges gone from both directions.
-        assert!(c.neighbors_u(1).is_empty());
-        assert_eq!(c.num_edges(), 4);
-        // Ranks unchanged.
-        for u in 0..3u32 {
-            assert_eq!(c.rank_u(u), r.rank_u(u));
-        }
-        // Surviving adjacency still ascending by rank.
-        for v in 0..3u32 {
-            let ranks: Vec<u32> = c.neighbors_v(v).iter().map(|&u| c.rank_u(u)).collect();
-            assert!(ranks.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn counting_on_compacted_matches_fresh_subgraph() {
-        // Counting with stale (original) ranks must still be exact.
-        let g = crate::gen::zipf(40, 30, 260, 0.5, 0.9, 4);
-        let r = RankedGraph::from_csr(&g);
-        let alive_u: Vec<bool> = (0..40).map(|u| u % 3 != 0).collect();
-        let alive_v = vec![true; 30];
-        let stale = r.compact(&alive_u, &alive_v);
-        let fresh_csr = crate::compact::compact(&g, &alive_u, &alive_v);
-        let expect = crate::stats::total_primary_wedges(fresh_csr.view(crate::Side::U));
-        // Structural check: same edges survive.
-        assert_eq!(stale.num_edges(), fresh_csr.num_edges());
-        let _ = expect;
     }
 }

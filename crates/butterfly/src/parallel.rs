@@ -98,9 +98,9 @@ pub fn par_vertex_priority_counts(g: &RankedGraph) -> VertexCounts {
 /// Parallel counting restricted to the *live* subgraph, without compacting
 /// first: vertices of `filtered_side` whose `alive` flag is false
 /// contribute no wedges and receive no counts. Used by HUC re-counts
-/// (§4.1) between DGM compactions — the stale edges are still scanned
-/// (and reported in `wedges_traversed`), but their butterflies are
-/// excluded exactly as if the graph had been compacted.
+/// (§4.1), which run on the graph as first counted: the dead vertices'
+/// edges are still scanned (and reported in `wedges_traversed`), but their
+/// butterflies are excluded exactly as if the graph had been compacted.
 pub fn par_counts_with_filter(
     g: &RankedGraph,
     filtered_side: bigraph::Side,

@@ -1111,7 +1111,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 let m = &d.metrics;
                 eprintln!(
                     "theta_max={} wedges={} (count {}, cd {}, fd {}) rounds={} \
-                     recounts={} compactions={} partitions={} time={:.3}s",
+                     recounts={} partitions={} time={:.3}s",
                     d.theta_max(),
                     m.wedges_total(),
                     m.wedges_count,
@@ -1119,7 +1119,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
                     m.wedges_fd,
                     m.sync_rounds,
                     m.recounts,
-                    m.compactions,
                     m.partitions_used,
                     m.time_total().as_secs_f64()
                 );

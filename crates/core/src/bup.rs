@@ -1,9 +1,9 @@
 //! Sequential Bottom-Up Peeling (Algorithm 2) — the classical tip
-//! decomposition and the inner loop of fine-grained decomposition — and
-//! [`peel_live`], the same peel with less wedge work, which the dynamic
-//! path re-peels with.
+//! decomposition — and [`peel_live`], the same peel with less wedge work,
+//! which fine-grained decomposition and the dynamic path peel with.
 
 use crate::heap::IndexedMinHeap;
+use crate::peel::{walk_live, LiveAdjacency, PeelScratch};
 use crate::queue::DecreaseKeyQueue;
 use bigraph::{BipartiteCsr, Side, SideGraph, VertexId};
 use std::time::Instant;
@@ -29,8 +29,7 @@ pub struct BaselineResult {
 /// the shared butterfly count, clamped below at the extracted value
 /// (Algorithm 2 line 13). Returns `(tip numbers, wedges traversed)`.
 ///
-/// Works on any [`SideGraph`] — the full graph for the BUP baseline, an
-/// induced subgraph inside fine-grained decomposition.
+/// Works on any [`SideGraph`]; BUP runs it on the full graph.
 pub fn peel_all(view: SideGraph<'_>, init_support: &[u64], heap_arity: usize) -> (Vec<u64>, u64) {
     let heap = IndexedMinHeap::new(heap_arity, init_support);
     peel_all_with_queue(view, init_support.len(), heap)
@@ -87,111 +86,42 @@ fn decrement_shared<Q: DecreaseKeyQueue>(queue: &mut Q, u2: VertexId, c: u64, th
     }
 }
 
-/// The secondary adjacency restricted to unpeeled primary vertices:
-/// `adj[start[s]..end[s]]` lists the live neighbours of `s` in ascending
-/// id order.
-struct LiveAdjacency {
-    start: Vec<usize>,
-    end: Vec<usize>,
-    adj: Vec<VertexId>,
-}
-
-impl LiveAdjacency {
-    fn new(view: SideGraph<'_>) -> Self {
-        let ns = view.num_secondary();
-        let mut start = Vec::with_capacity(ns);
-        let mut end = Vec::with_capacity(ns);
-        let mut adj = Vec::with_capacity(view.num_edges());
-        for s in 0..ns as VertexId {
-            start.push(adj.len());
-            adj.extend_from_slice(view.neighbors_secondary(s));
-            end.push(adj.len());
-        }
-        LiveAdjacency { start, end, adj }
-    }
-
-    #[inline]
-    fn list(&self, s: VertexId) -> &[VertexId] {
-        &self.adj[self.start[s as usize]..self.end[s as usize]]
-    }
-
-    /// Removes the live vertex `p` from the list of its neighbour `s`,
-    /// keeping the order, and returns the list's new length.
-    #[inline]
-    fn remove(&mut self, s: VertexId, p: VertexId) -> usize {
-        let (start, end) = (self.start[s as usize], self.end[s as usize]);
-        let list = &mut self.adj[start..end];
-        let at = list
-            .binary_search(&p)
-            .expect("a live vertex is on its neighbours' live lists");
-        list.copy_within(at + 1.., at);
-        self.end[s as usize] -= 1;
-        end - 1 - start
-    }
-}
-
-/// [`peel_all`] with two exact savings, for the dynamic path's re-peels;
-/// the tip numbers are the same. Returns `(tip numbers, wedges traversed)`,
-/// where a hub probe counts as one wedge.
+/// [`peel_all`] with two exact savings; the tip numbers are the same.
+/// Returns `(tip numbers, wedges traversed)`, where a hub probe counts as
+/// one wedge. The dynamic path re-peels with it, and RECEIPT FD peels each
+/// coarse subset with it.
 ///
 /// * **Live adjacency.** It peels on a per-call copy of the secondary
 ///   adjacency and removes each popped vertex from its neighbours' lists,
 ///   so a wedge is walked only from the end peeled first: exactly half of
 ///   `peel_all`'s wedges.
 /// * **Hub probe.** When one neighbour's live list is longer than the
-///   popped vertex's other lists combined, that list is not scanned. A
-///   pair shares a butterfly only with 2 or more common neighbours, so
-///   every vertex due a decrement also sits on another list; its +1 for
-///   the skipped list comes from a binary search for the hub in its own
-///   sorted adjacency. The probes cost fewer wedges than the scan would.
+///   popped vertex's other lists combined, that list is not scanned; each
+///   vertex due a decrement gets its +1 for it from a binary search in its
+///   own sorted adjacency. The probes cost fewer wedges than the scan
+///   would. CD's live peel shares this wedge walk (`peel::walk_live`).
 pub fn peel_live(view: SideGraph<'_>, init_support: &[u64], heap_arity: usize) -> (Vec<u64>, u64) {
     let n = init_support.len();
     debug_assert_eq!(n, view.num_primary());
     let mut heap = IndexedMinHeap::new(heap_arity, init_support);
-    let mut live = LiveAdjacency::new(view);
+    let mut live = LiveAdjacency::new(view.num_secondary(), |v| view.neighbors_secondary(v));
+    let mut scratch = PeelScratch::new(n);
     let mut tip = vec![0u64; n];
-    let mut cnt = vec![0u32; n];
-    let mut touched: Vec<VertexId> = Vec::new();
     let mut wedges = 0u64;
 
     while let Some((u, theta)) = heap.pop_min() {
         tip[u as usize] = theta;
         let neighbors = view.neighbors_primary(u);
-        let (mut hub, mut hub_len, mut all_len) = (0, 0, 0);
         for &v in neighbors {
-            let len = live.remove(v, u);
-            all_len += len;
-            if len > hub_len {
-                (hub, hub_len) = (v, len);
-            }
+            live.remove(v, u);
         }
-        let skip = (hub_len > all_len - hub_len).then_some(hub);
-        for &v in neighbors {
-            if Some(v) == skip {
-                continue;
-            }
-            let list = live.list(v);
-            wedges += list.len() as u64;
-            for &u2 in list {
-                let c = &mut cnt[u2 as usize];
-                if *c == 0 {
-                    touched.push(u2);
-                }
-                *c += 1;
-            }
-        }
-        if skip.is_some() {
-            wedges += touched.len() as u64;
-        }
-        for &u2 in &touched {
-            let mut c = cnt[u2 as usize] as u64;
-            cnt[u2 as usize] = 0;
-            if let Some(hub) = skip {
-                c += view.neighbors_primary(u2).binary_search(&hub).is_ok() as u64;
-            }
-            decrement_shared(&mut heap, u2, c, theta);
-        }
-        touched.clear();
+        wedges += walk_live(
+            neighbors,
+            |v| live.list(v),
+            |u2, hub| view.neighbors_primary(u2).binary_search(&hub).is_ok(),
+            &mut scratch,
+            |u2, c| decrement_shared(&mut heap, u2, c, theta),
+        );
     }
     (tip, wedges)
 }

@@ -8,11 +8,14 @@
 //! what collapses the synchronization count ρ from millions to ~1000
 //! (Table 3).
 //!
-//! Also implements the two workload optimizations of §4:
+//! Also implements the two workload optimizations of §4, each governed by
+//! its [`Config`] toggle:
 //! * **HUC** — when peeling the active set would traverse more wedges than
 //!   re-counting from scratch, re-count;
-//! * **DGM** — periodically compact the live graph so traversal stops
-//!   scanning peeled vertices.
+//! * **DGM** — every round drops its peeled vertices from the live lists it
+//!   touched ([`PeelGraph::kill_batch`]), so traversal never scans a peeled
+//!   vertex and walks each wedge from one end, probing hub lists instead of
+//!   scanning them.
 
 use crate::config::Config;
 use crate::metrics::Metrics;
@@ -60,7 +63,10 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
     // Static per-vertex wedge counts in G: the proxy findHi balances on.
     let w = bigraph::stats::wedges_per_primary(view);
     let mut remaining_wedges: u64 = w.iter().sum();
-    let mut pg = PeelGraph::new(side, ranked);
+    // HUC's re-count cost, of the graph as counted: the live graph only
+    // shrinks, so it stays an upper bound — a conservative test.
+    let c_rcnt = bigraph::stats::recount_cost(view);
+    let mut pg = PeelGraph::new(side, ranked, config.dgm);
     let mut init_support = vec![0u64; n];
     let mut subsets: Vec<Vec<VertexId>> = Vec::new();
     let mut bounds: Vec<u64> = vec![0];
@@ -97,13 +103,13 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
             subset.extend_from_slice(&active);
 
             let c_peel: u64 = active.iter().map(|&u| pg.peel_cost(u)).sum();
-            let use_recount = config.huc && pg.live_count() > 0 && c_peel > pg.recount_cost();
+            let use_recount = config.huc && pg.live_count() > 0 && c_peel > c_rcnt;
 
             if use_recount {
                 // HUC (§4.1): re-count butterflies of the live subgraph
                 // instead of propagating the active set's updates. The
-                // PeelGraph keeps its adjacency rank-sorted through
-                // compactions, so the re-count needs no re-ranking.
+                // PeelGraph keeps the graph as counted, rank-sorted, so the
+                // re-count needs no re-ranking.
                 recounts += 1;
                 let rc = pg.recount_live();
                 wedges_cd.add(rc.wedges_traversed);
@@ -139,13 +145,8 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
                         a.append(&mut b);
                         a
                     });
-                let iw = iter_wedges.get();
-                wedges_cd.add(iw);
-                pg.note_wedges(iw);
+                wedges_cd.add(iter_wedges.get());
                 active = dedup_next_active(candidates, &pg, &support, hi, &mut queued);
-                if config.dgm {
-                    pg.maybe_compact(config.dgm_threshold);
-                }
             }
         }
 
@@ -175,7 +176,6 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
         wedges_cd: wedges_cd.get(),
         sync_rounds: rounds,
         recounts,
-        compactions: pg.compactions(),
         partitions_used: subsets.len(),
         time_count,
         time_cd: t_cd.elapsed(),
@@ -360,18 +360,42 @@ mod tests {
 
     #[test]
     fn huc_and_dgm_do_not_change_partitions_semantics() {
-        let g = gen::zipf(80, 30, 400, 0.4, 1.0, 7);
-        let truth = crate::bup::bup_decompose(&g, Side::U, 4);
-        for cfg in [
-            Config::default().with_partitions(6),
-            Config::default().with_partitions(6).without_dgm(),
-            Config::default().with_partitions(6).baseline_variant(),
-        ] {
-            let r = check_partition_invariants(&g, Side::U, &cfg);
-            for (i, subset) in r.subsets.iter().enumerate() {
-                for &u in subset {
-                    let t = truth.tip[u as usize];
-                    assert!(r.bounds[i] <= t && t < r.bounds[i + 1]);
+        // HUC and DGM change only the work: every HUC×DGM toggle yields the
+        // same subsets, bounds, ⋈init and sync rounds.
+        let graphs = [
+            ("zipf", gen::zipf(80, 30, 400, 0.4, 1.0, 7)),
+            ("hub-skewed", gen::zipf(300, 40, 1500, 0.3, 1.1, 9)),
+            ("planted", gen::planted_bicliques(40, 40, 3, 5, 5, 80, 4)),
+            ("uniform", gen::uniform(50, 40, 300, 8)),
+            ("fig1", fig1_graph()),
+        ];
+        let base = Config::default().with_partitions(6);
+        let variants = [
+            base.clone(),
+            base.clone().without_dgm(),
+            base.clone().baseline_variant(),
+            Config {
+                huc: false,
+                ..base.clone()
+            },
+        ];
+        for (name, g) in &graphs {
+            for side in [Side::U, Side::V] {
+                let truth = crate::bup::bup_decompose(g, side, 4);
+                let want = check_partition_invariants(g, side, &base);
+                for cfg in &variants {
+                    let r = check_partition_invariants(g, side, cfg);
+                    let at = format!("{name}, side {side}, huc {}, dgm {}", cfg.huc, cfg.dgm);
+                    assert_eq!(r.subsets, want.subsets, "{at}");
+                    assert_eq!(r.bounds, want.bounds, "{at}");
+                    assert_eq!(r.init_support, want.init_support, "{at}");
+                    assert_eq!(r.metrics.sync_rounds, want.metrics.sync_rounds, "{at}");
+                    for (i, subset) in r.subsets.iter().enumerate() {
+                        for &u in subset {
+                            let t = truth.tip[u as usize];
+                            assert!(r.bounds[i] <= t && t < r.bounds[i + 1], "{at}");
+                        }
+                    }
                 }
             }
         }

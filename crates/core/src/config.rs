@@ -17,18 +17,19 @@ pub struct Config {
     /// value runs the decomposition inside a dedicated pool of that size
     /// (and spawns that many FD workers).
     pub threads: usize,
-    /// Hybrid Update Computation (§4.1): re-count butterflies instead of
-    /// peeling whenever peeling the active set would traverse more wedges
-    /// than a full re-count.
+    /// Hybrid Update Computation (§4.1), in coarse-grained decomposition:
+    /// re-count butterflies instead of peeling whenever peeling the active
+    /// set would traverse more wedges than a full re-count.
     pub huc: bool,
-    /// Dynamic Graph Maintenance (§4.2): periodically compact adjacency
-    /// lists to drop edges of peeled vertices.
+    /// Dynamic Graph Maintenance (§4.2), in coarse-grained decomposition:
+    /// drop peeled vertices' edges. Every round removes its peeled vertices
+    /// from the adjacency lists it touched, so traversal walks each wedge
+    /// from one end and can probe a hub list instead of scanning it. Off,
+    /// CD walks the static lists, every wedge from both ends.
+    ///
+    /// Fine-grained decomposition ignores `huc` and `dgm`: it always peels
+    /// with [`crate::bup::peel_live`].
     pub dgm: bool,
-    /// DGM compaction threshold as a multiple of the current edge count:
-    /// compact only after `dgm_threshold · m` wedges have been traversed
-    /// since the previous compaction (the paper uses 1·m so DGM cannot
-    /// change the asymptotic complexity).
-    pub dgm_threshold: f64,
     /// Arity of the indexed min-heap used by fine-grained peeling and BUP
     /// ("k-way min heap", §5.1 implementation details).
     pub heap_arity: usize,
@@ -41,7 +42,6 @@ impl Default for Config {
             threads: 0,
             huc: true,
             dgm: true,
-            dgm_threshold: 1.0,
             heap_arity: 4,
         }
     }
@@ -109,7 +109,6 @@ mod tests {
         assert_eq!(c.partitions, 150);
         assert!(c.huc && c.dgm);
         assert_eq!(c.heap_arity, 4);
-        assert_eq!(c.dgm_threshold, 1.0);
     }
 
     #[test]

@@ -7,14 +7,20 @@
 //! pre-sorted by descending induced-wedge count (workload-aware scheduling,
 //! §3.2.1 — the LPT heuristic of Figure 3). The only synchronization is the
 //! final join: FD contributes zero peeling rounds to ρ.
+//!
+//! The per-subset peel is [`crate::bup::peel_live`]. It drops each peeled
+//! vertex from the subgraph's adjacency as it goes, which is the paper's
+//! DGM (§4.2) done eagerly, and probes hub lists instead of scanning them.
+//! So FD has no HUC or DGM of its own: [`Config::huc`] and [`Config::dgm`]
+//! govern CD only.
 
+use crate::bup::peel_live;
 use crate::cd::CoarseResult;
 use crate::config::Config;
-use crate::heap::IndexedMinHeap;
 use crate::TipDecomposition;
-use bigraph::{InducedGraph, RankedGraph, Side, SideGraph, VertexId};
+use bigraph::{InducedGraph, SideGraph, VertexId};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Peels every coarse subset and assembles the final tip numbers.
@@ -42,7 +48,6 @@ pub fn fine_decompose(
     let threads = config.effective_threads().max(1).min(subsets.len().max(1));
     let next = AtomicUsize::new(0);
     let wedges_fd = AtomicU64::new(0);
-    let recounts_fd = AtomicU64::new(0);
     let results: Mutex<Vec<(VertexId, u64)>> = Mutex::new(Vec::with_capacity(n));
     let arity = config.heap_arity;
 
@@ -73,16 +78,8 @@ pub fn fine_decompose(
                     }
                     let induced = InducedGraph::new(view, subset);
                     let sup: Vec<u64> = subset.iter().map(|&u| init_support[u as usize]).collect();
-                    let (tips_local, wedges, recounts) = peel_subset_with_dgm(
-                        &induced,
-                        &sup,
-                        config.huc,
-                        config.dgm,
-                        config.dgm_threshold,
-                        arity,
-                    );
+                    let (tips_local, wedges) = peel_live(induced.view(), &sup, arity);
                     local_wedges += wedges;
-                    recounts_fd.fetch_add(recounts, Ordering::Relaxed);
                     for (local_id, &theta) in tips_local.iter().enumerate() {
                         local.push((induced.primary_global(local_id as VertexId), theta));
                     }
@@ -103,159 +100,9 @@ pub fn fine_decompose(
     debug_assert!(assigned.iter().all(|&a| a), "every vertex must be peeled");
 
     metrics.wedges_fd = wedges_fd.into_inner();
-    metrics.recounts += recounts_fd.into_inner();
     metrics.time_fd = t0.elapsed();
 
     TipDecomposition { side, tip, metrics }
-}
-
-/// Peels one induced subset with sequential bottom-up peeling, optionally
-/// applying FD-side HUC (§4.1): when propagating a peeled vertex's updates
-/// would traverse more wedges than re-counting the whole live subgraph,
-/// re-count instead. FD re-counts must add back the *external
-/// contribution* `ext_u = ⋈init_u − ⋈_{G_i}(u)` — butterflies `u` shares
-/// with higher-range subsets, which the induced subgraph cannot see but
-/// which never change while `U_i` is peeled.
-///
-/// Returns `(tip numbers, wedges traversed, recount invocations)`.
-pub fn peel_subset(
-    induced: &InducedGraph,
-    init_support: &[u64],
-    huc: bool,
-    heap_arity: usize,
-) -> (Vec<u64>, u64, u64) {
-    peel_subset_with_dgm(induced, init_support, huc, false, 1.0, heap_arity)
-}
-
-/// [`peel_subset`] with in-subset Dynamic Graph Maintenance: after
-/// `dgm_threshold · m_i` wedges since the previous compaction, the induced
-/// subgraph is rebuilt without the peeled vertices' edges — the same §4.2
-/// optimization CD uses, which pays off on hub-heavy induced subgraphs.
-pub fn peel_subset_with_dgm(
-    induced: &InducedGraph,
-    init_support: &[u64],
-    huc: bool,
-    dgm: bool,
-    dgm_threshold: f64,
-    heap_arity: usize,
-) -> (Vec<u64>, u64, u64) {
-    let n = induced.num_primary();
-    debug_assert_eq!(init_support.len(), n);
-    let mut heap = IndexedMinHeap::new(heap_arity, init_support);
-    let mut tip = vec![0u64; n];
-    let mut cnt = vec![0u32; n];
-    let mut touched: Vec<VertexId> = Vec::new();
-    let mut wedges = 0u64;
-    let mut recounts = 0u64;
-
-    // DGM state: `current` replaces the pristine induced CSR after the
-    // first compaction. The trigger base is the original edge count.
-    let m_original = induced.num_edges();
-    let mut current: Option<bigraph::BipartiteCsr> = None;
-    let mut wedges_since_compact = 0u64;
-
-    // HUC state, built lazily on the first trigger: ranked structure for
-    // counting, pristine in-subgraph counts (for `ext`), and alive flags
-    // mirroring heap membership.
-    let mut c_rcnt = if huc {
-        bigraph::stats::recount_cost(induced.view())
-    } else {
-        u64::MAX
-    };
-    let mut huc_state: Option<(RankedGraph, Vec<u64>, Vec<AtomicBool>)> = None;
-
-    while let Some((u, theta)) = heap.pop_min() {
-        tip[u as usize] = theta;
-        if let Some((_, _, alive)) = &huc_state {
-            alive[u as usize].store(false, Ordering::Relaxed);
-        }
-        let view = match &current {
-            Some(c) => c.view(Side::U),
-            None => induced.view(),
-        };
-
-        if huc && !heap.is_empty() {
-            let peel_cost: u64 = view
-                .neighbors_primary(u)
-                .iter()
-                .map(|&s| view.deg_secondary(s) as u64)
-                .sum();
-            if peel_cost > c_rcnt {
-                // Re-count instead of peeling.
-                recounts += 1;
-                let (ranked, ext, alive) = huc_state.get_or_insert_with(|| {
-                    let ranked = RankedGraph::from_csr(induced.csr());
-                    let pristine = butterfly::count::vertex_priority_counts(&ranked);
-                    let ext: Vec<u64> = init_support
-                        .iter()
-                        .zip(&pristine.u)
-                        .map(|(&init, &own)| init - own)
-                        .collect();
-                    let alive: Vec<AtomicBool> = (0..n)
-                        .map(|v| AtomicBool::new(heap.contains(v as VertexId)))
-                        .collect();
-                    (ranked, ext, alive)
-                });
-                // (get_or_insert_with ran before u was flagged dead above
-                // only on first trigger — flag it now to be safe.)
-                alive[u as usize].store(false, Ordering::Relaxed);
-                let rc = butterfly::parallel::par_counts_with_filter(ranked, Side::U, alive);
-                wedges += rc.wedges_traversed;
-                for v in 0..n as VertexId {
-                    if heap.contains(v) {
-                        let fresh = (rc.u[v as usize] + ext[v as usize]).max(theta);
-                        heap.decrease_key(v, fresh);
-                    }
-                }
-                continue;
-            }
-        }
-
-        let mut pop_wedges = 0u64;
-        for &v in view.neighbors_primary(u) {
-            for &u2 in view.neighbors_secondary(v) {
-                if u2 == u {
-                    continue;
-                }
-                pop_wedges += 1;
-                let c = &mut cnt[u2 as usize];
-                if *c == 0 {
-                    touched.push(u2);
-                }
-                *c += 1;
-            }
-        }
-        wedges += pop_wedges;
-        wedges_since_compact += pop_wedges;
-        for &u2 in &touched {
-            let c = cnt[u2 as usize] as u64;
-            cnt[u2 as usize] = 0;
-            if c >= 2 {
-                if let Some(cur) = heap.key(u2) {
-                    let shared = c * (c - 1) / 2;
-                    heap.decrease_key(u2, cur.saturating_sub(shared).max(theta));
-                }
-            }
-        }
-        touched.clear();
-
-        if dgm
-            && !heap.is_empty()
-            && (wedges_since_compact as f64) >= dgm_threshold * m_original as f64
-        {
-            let alive_p: Vec<bool> = (0..n as VertexId).map(|p| heap.contains(p)).collect();
-            let alive_s = vec![true; induced.num_secondary()];
-            let source = current.as_ref().unwrap_or_else(|| induced.csr());
-            current = Some(bigraph::compact::compact(source, &alive_p, &alive_s));
-            wedges_since_compact = 0;
-            if huc {
-                c_rcnt = bigraph::stats::recount_cost(
-                    current.as_ref().expect("just compacted").view(Side::U),
-                );
-            }
-        }
-    }
-    (tip, wedges, recounts)
 }
 
 /// Estimated wedges inside each induced subgraph: `Σ_s d_s(d_s − 1)` where
@@ -333,35 +180,6 @@ mod tests {
             fine_decompose(g.view(Side::U), coarse, &cfg).tip
         };
         assert_eq!(mk(1), mk(4));
-    }
-
-    #[test]
-    fn peel_subset_huc_matches_plain_peel() {
-        // FD HUC must not change tip numbers, only the wedge workload.
-        for seed in 0..4 {
-            let g = gen::zipf(80, 25, 500, 0.3, 1.2, seed);
-            let cfg = Config::default().with_partitions(4);
-            let coarse = coarse_decompose(&g, Side::U, &cfg);
-            for subset in &coarse.subsets {
-                if subset.is_empty() {
-                    continue;
-                }
-                let induced = InducedGraph::new(g.view(Side::U), subset);
-                let sup: Vec<u64> = subset
-                    .iter()
-                    .map(|&u| coarse.init_support[u as usize])
-                    .collect();
-                let (with_huc, _, _) = peel_subset(&induced, &sup, true, 4);
-                let (without, plain_wedges, zero) = peel_subset(&induced, &sup, false, 4);
-                assert_eq!(with_huc, without, "seed {seed}");
-                assert_eq!(zero, 0);
-                let (_, huc_wedges, _) = peel_subset(&induced, &sup, true, 4);
-                assert!(
-                    huc_wedges <= plain_wedges.max(1),
-                    "HUC may only reduce FD wedges: {huc_wedges} vs {plain_wedges}"
-                );
-            }
-        }
     }
 
     #[test]

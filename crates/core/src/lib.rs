@@ -12,7 +12,9 @@
 //! * [`cd`] / [`fd`] — RECEIPT's two steps: Coarse-grained Decomposition
 //!   (Algorithm 3, with adaptive range determination) and Fine-grained
 //!   Decomposition (Algorithm 4, with workload-aware dynamic scheduling);
-//! * the HUC and DGM workload optimizations (§4) — see [`Config`];
+//! * the HUC and DGM workload optimizations (§4) in CD — see [`Config`].
+//!   DGM keeps live adjacency lists that drop every peeled vertex, which
+//!   FD and the dynamic path get from [`bup::peel_live`] too;
 //! * [`hierarchy`] — k-tip extraction/verification on top of tip numbers;
 //! * [`wing`] — the §7 extension to wing (edge) decomposition;
 //! * [`dynamic`] — incremental tip maintenance over batched edge updates

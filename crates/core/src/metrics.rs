@@ -23,7 +23,8 @@ pub struct Metrics {
     pub sync_rounds: u64,
     /// Number of HUC re-count invocations that replaced a peel iteration.
     pub recounts: u64,
-    /// Number of DGM compactions performed.
+    /// Always 0: DGM drops peeled vertices every round and no longer
+    /// compacts. Kept because the benchmark's `cd.compactions` reads it.
     pub compactions: u64,
     /// Partitions actually produced by CD (may be `P + 1`, §3.1.1).
     pub partitions_used: usize,

@@ -16,8 +16,9 @@ use bigraph::Side;
 use serde::{Deserialize, Serialize};
 
 /// Bumped whenever a field is renamed, removed, or changes meaning.
-/// (Purely additive fields do not require a bump.)
-pub const SCHEMA_VERSION: u32 = 1;
+/// (Purely additive fields do not require a bump.) Version 2 removed
+/// `config.dgm_threshold`.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Full result of one `tip` decomposition run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -57,8 +57,8 @@ fn main() {
             m.wedges_fd
         );
         println!(
-            "sync rounds = {}, HUC recounts = {}, DGM compactions = {}, subsets = {}",
-            m.sync_rounds, m.recounts, m.compactions, m.partitions_used
+            "sync rounds = {}, HUC recounts = {}, subsets = {}",
+            m.sync_rounds, m.recounts, m.partitions_used
         );
     }
 }

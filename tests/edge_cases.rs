@@ -137,21 +137,6 @@ fn isolated_vertices_mixed_with_dense_block() {
 }
 
 #[test]
-fn dgm_threshold_extremes() {
-    let g = bigraph::gen::zipf(50, 30, 300, 0.5, 0.9, 3);
-    let truth = bup::bup_decompose(&g, Side::U, 4).tip;
-    // Compact after every iteration (threshold 0) and never (huge).
-    for threshold in [0.0f64, 1e18] {
-        let cfg = Config {
-            dgm_threshold: threshold,
-            ..Config::default()
-        };
-        let r = tip_decompose(&g, Side::U, &cfg);
-        assert_eq!(truth, r.tip, "threshold {threshold}");
-    }
-}
-
-#[test]
 fn heap_arity_extremes() {
     let g = bigraph::gen::uniform(40, 40, 250, 9);
     let truth = bup::bup_decompose(&g, Side::U, 4).tip;

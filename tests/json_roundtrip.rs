@@ -1,9 +1,10 @@
-//! JSON round-trip coverage for the serialization subsystem: `Metrics` and
-//! `Config` must survive serialize → parse → re-serialize byte-identically
-//! (compact and pretty), including float formatting corners and
-//! empty/`Default` values.
+//! JSON round-trip coverage for the serialization subsystem: `Metrics`,
+//! `Config` and a report's float must survive serialize → parse →
+//! re-serialize byte-identically (compact and pretty), including float
+//! formatting corners and empty/`Default` values.
 
 use proptest::prelude::*;
+use receipt::report::ConvertReport;
 use receipt::{Config, Metrics};
 use std::time::Duration;
 
@@ -78,21 +79,40 @@ fn populated_metrics_round_trip() {
 #[test]
 fn default_config_round_trips() {
     let text = assert_round_trip(&Config::default());
-    // Integral float: 1.0 prints as `1`, re-parses as an integer, and the
-    // f64 field accepts it — that asymmetry is what keeps the bytes stable.
-    assert!(text.contains("\"dgm_threshold\":1,"), "{text}");
+    for field in ["partitions", "threads", "huc", "dgm", "heap_arity"] {
+        assert!(text.contains(&format!("\"{field}\"")), "{text}");
+    }
 }
 
+/// A `convert` report timed at `secs`.
+fn convert_report(secs: f64) -> ConvertReport {
+    ConvertReport {
+        schema_version: receipt::report::SCHEMA_VERSION,
+        kind: "convert".to_string(),
+        input: "g.tsv".to_string(),
+        output: "g.bgr".to_string(),
+        from: "text".to_string(),
+        to: "binary".to_string(),
+        num_u: 3,
+        num_v: 2,
+        num_edges: 4,
+        bytes_in: 40,
+        bytes_out: 96,
+        time_convert_secs: secs,
+    }
+}
+
+/// `Config` has no float field, so the float corners ride on a report's.
 #[test]
 fn config_float_formatting_corners() {
-    for threshold in [0.75, 0.1, 2.5, 1e-7, 123.0, 1.0 / 3.0, f64::MIN_POSITIVE] {
-        let c = Config {
-            dgm_threshold: threshold,
-            ..Config::default()
-        };
-        let text = assert_round_trip(&c);
-        let decoded: Config = serde_json::from_str(&text).unwrap();
-        assert_eq!(decoded.dgm_threshold.to_bits(), threshold.to_bits());
+    // Integral float: 1.0 prints as `1`, re-parses as an integer, and the
+    // f64 field accepts it — that asymmetry is what keeps the bytes stable.
+    let text = assert_round_trip(&convert_report(1.0));
+    assert!(text.contains("\"time_convert_secs\":1}"), "{text}");
+    for secs in [0.75, 0.1, 2.5, 1e-7, 123.0, 1.0 / 3.0, f64::MIN_POSITIVE] {
+        let text = assert_round_trip(&convert_report(secs));
+        let decoded: ConvertReport = serde_json::from_str(&text).unwrap();
+        assert_eq!(decoded.time_convert_secs.to_bits(), secs.to_bits());
     }
 }
 
@@ -105,7 +125,7 @@ fn missing_field_is_an_error() {
 #[test]
 fn unknown_fields_are_ignored() {
     let mut text = serde_json::to_string(&Config::default()).unwrap();
-    text.insert_str(1, "\"added_in_schema_v2\": [1, 2, 3],");
+    text.insert_str(1, "\"added_in_schema_v3\": [1, 2, 3],");
     let decoded: Config = serde_json::from_str(&text).unwrap();
     assert_eq!(decoded, Config::default());
 }

@@ -31,8 +31,15 @@ proptest! {
     fn receipt_equals_bup(g in arb_graph(), p in 1usize..9) {
         for side in [Side::U, Side::V] {
             let truth = bup::bup_decompose(&g, side, 4);
-            let r = tip_decompose(&g, side, &Config::default().with_partitions(p));
-            prop_assert_eq!(&truth.tip, &r.tip);
+            for (huc, dgm) in [(true, true), (true, false), (false, true), (false, false)] {
+                let cfg = Config {
+                    huc,
+                    dgm,
+                    ..Config::default().with_partitions(p)
+                };
+                let r = tip_decompose(&g, side, &cfg);
+                prop_assert_eq!(&truth.tip, &r.tip, "huc {}, dgm {}", huc, dgm);
+            }
         }
     }
 
