@@ -10,7 +10,6 @@
 
 use crate::csr::BipartiteCsr;
 use crate::VertexId;
-use rayon::prelude::*;
 
 /// A [`BipartiteCsr`] companion with rank-sorted adjacency.
 #[derive(Debug, Clone)]
@@ -30,23 +29,41 @@ pub struct RankedGraph {
 }
 
 impl RankedGraph {
-    /// Ranks all of `W` by descending degree (ties broken by side then id,
-    /// so the result is deterministic) and re-sorts adjacency by rank.
+    /// Ranks all of `W` by descending degree, ties broken by global id (U
+    /// before V, then side-local id, so the result is deterministic), and
+    /// lays every adjacency list out in ascending neighbour rank. Runs in
+    /// `O(n + m)`: a counting sort by degree over ascending global ids
+    /// gives the rank order, and walking `W` in that order while appending
+    /// each vertex to its neighbours' lists leaves every list rank-sorted.
     pub fn from_csr(g: &BipartiteCsr) -> Self {
         let nu = g.num_u();
         let nv = g.num_v();
         let n = nu + nv;
 
         // Global ids: U-vertex u -> u, V-vertex v -> nu + v.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let deg = |w: u32| -> usize {
-            if (w as usize) < nu {
-                g.deg_u(w)
+        let deg = |w: usize| -> usize {
+            if w < nu {
+                g.deg_u(w as VertexId)
             } else {
-                g.deg_v(w - nu as u32)
+                g.deg_v((w - nu) as VertexId)
             }
         };
-        order.par_sort_unstable_by(|&a, &b| deg(b).cmp(&deg(a)).then(a.cmp(&b)));
+        // Bucket key 0 is the highest degree; `start[k]` becomes the first
+        // rank of bucket `k`, and filling buckets in id order breaks ties.
+        let max_deg = (0..n).map(deg).max().unwrap_or(0);
+        let mut start = vec![0usize; max_deg + 2];
+        for w in 0..n {
+            start[max_deg - deg(w) + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut order = vec![0u32; n];
+        for w in 0..n {
+            let slot = &mut start[max_deg - deg(w)];
+            order[*slot] = w as u32;
+            *slot += 1;
+        }
 
         let mut rank_u = vec![0u32; nu];
         let mut rank_v = vec![0u32; nv];
@@ -58,26 +75,34 @@ impl RankedGraph {
             }
         }
 
-        // Re-sort adjacency by neighbour rank with one keyed edge sort per
-        // direction (parallel, O(m log m)).
-        let mut keyed: Vec<(VertexId, u32, VertexId)> =
-            g.edges().map(|(u, v)| (u, rank_v[v as usize], v)).collect();
-        keyed.par_sort_unstable();
-        let u_adj: Vec<VertexId> = keyed.iter().map(|&(_, _, v)| v).collect();
         // Offsets match the source CSR (same degree sequence, re-sorted
         // within each list).
         let mut u_offsets = vec![0usize; nu + 1];
         for u in 0..nu {
             u_offsets[u + 1] = u_offsets[u] + g.deg_u(u as VertexId);
         }
-
-        let mut keyed_v: Vec<(VertexId, u32, VertexId)> =
-            g.edges().map(|(u, v)| (v, rank_u[u as usize], u)).collect();
-        keyed_v.par_sort_unstable();
-        let v_adj: Vec<VertexId> = keyed_v.iter().map(|&(_, _, u)| u).collect();
         let mut v_offsets = vec![0usize; nv + 1];
         for v in 0..nv {
             v_offsets[v + 1] = v_offsets[v] + g.deg_v(v as VertexId);
+        }
+        // Scatter each vertex, in rank order, onto its neighbours' lists.
+        let mut u_adj = vec![0 as VertexId; g.num_edges()];
+        let mut v_adj = vec![0 as VertexId; g.num_edges()];
+        let mut u_next = u_offsets[..nu].to_vec();
+        let mut v_next = v_offsets[..nv].to_vec();
+        for &w in &order {
+            if (w as usize) < nu {
+                for &v in g.neighbors_u(w) {
+                    v_adj[v_next[v as usize]] = w;
+                    v_next[v as usize] += 1;
+                }
+            } else {
+                let v = w - nu as u32;
+                for &u in g.neighbors_v(v) {
+                    u_adj[u_next[u as usize]] = v;
+                    u_next[u as usize] += 1;
+                }
+            }
         }
 
         RankedGraph {
@@ -200,6 +225,94 @@ mod tests {
         }
         // All degree-1: U vertices rank before V by tie-break (global id).
         assert!(a.rank_u(2) < a.rank_v(0));
+    }
+
+    /// The ranking by comparison sorts: `W` by (degree descending, global
+    /// id ascending), then every list by neighbour rank.
+    fn sorted_reference(g: &BipartiteCsr) -> RankedGraph {
+        let (nu, nv) = (g.num_u(), g.num_v());
+        let deg = |w: u32| {
+            if (w as usize) < nu {
+                g.deg_u(w)
+            } else {
+                g.deg_v(w - nu as u32)
+            }
+        };
+        let mut order: Vec<u32> = (0..(nu + nv) as u32).collect();
+        order.sort_by(|&a, &b| deg(b).cmp(&deg(a)).then(a.cmp(&b)));
+        let (mut rank_u, mut rank_v) = (vec![0u32; nu], vec![0u32; nv]);
+        for (rank, &w) in order.iter().enumerate() {
+            match (w as usize).checked_sub(nu) {
+                None => rank_u[w as usize] = rank as u32,
+                Some(v) => rank_v[v] = rank as u32,
+            }
+        }
+        let mut u_adj = Vec::new();
+        for u in 0..nu as u32 {
+            let mut list = g.neighbors_u(u).to_vec();
+            list.sort_by_key(|&v| rank_v[v as usize]);
+            u_adj.extend(list);
+        }
+        let mut v_adj = Vec::new();
+        for v in 0..nv as u32 {
+            let mut list = g.neighbors_v(v).to_vec();
+            list.sort_by_key(|&u| rank_u[u as usize]);
+            v_adj.extend(list);
+        }
+        let offsets = |n: usize, d: &dyn Fn(u32) -> usize| -> Vec<usize> {
+            std::iter::once(0)
+                .chain((0..n as u32).scan(0, |at, x| {
+                    *at += d(x);
+                    Some(*at)
+                }))
+                .collect()
+        };
+        RankedGraph {
+            nu,
+            nv,
+            rank_u,
+            rank_v,
+            u_offsets: offsets(nu, &|u| g.deg_u(u)),
+            u_adj,
+            v_offsets: offsets(nv, &|v| g.deg_v(v)),
+            v_adj,
+        }
+    }
+
+    #[test]
+    fn counting_sort_ranking_matches_comparison_sorts() {
+        let mut graphs = Vec::new();
+        for seed in 0..4 {
+            // Zipf stubs leave many vertices isolated; uniform graphs tie
+            // degrees across the two sides.
+            graphs.push(crate::gen::zipf(300, 120, 900, 0.5, 1.1, seed));
+            graphs.push(crate::gen::uniform(80, 80, 400, seed));
+        }
+        graphs.push(from_edges(5, 4, &[(0, 0), (1, 1), (2, 1), (3, 2)]).unwrap());
+        graphs.push(BipartiteCsr::empty(3, 2));
+        let mut cross_side_ties = 0;
+        for g in &graphs {
+            let got = RankedGraph::from_csr(g);
+            let want = sorted_reference(g);
+            assert_eq!(got.rank_u, want.rank_u);
+            assert_eq!(got.rank_v, want.rank_v);
+            assert_eq!(got.u_offsets, want.u_offsets);
+            assert_eq!(got.u_adj, want.u_adj);
+            assert_eq!(got.v_offsets, want.v_offsets);
+            assert_eq!(got.v_adj, want.v_adj);
+            let du: std::collections::HashSet<usize> =
+                (0..g.num_u() as u32).map(|u| g.deg_u(u)).collect();
+            cross_side_ties += (0..g.num_v() as u32)
+                .filter(|&v| du.contains(&g.deg_v(v)))
+                .count();
+        }
+        assert!(cross_side_ties > 0, "the graphs tie degrees across sides");
+        assert!(
+            graphs
+                .iter()
+                .any(|g| (0..g.num_u() as u32).any(|u| g.deg_u(u) == 0)),
+            "the graphs have isolated vertices"
+        );
     }
 
     #[test]

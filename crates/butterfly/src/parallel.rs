@@ -1,21 +1,22 @@
 //! Parallel per-vertex butterfly counting.
 //!
 //! Start vertices are processed concurrently (the `do in parallel` of
-//! Algorithm 1); every task checks a dense wedge array out of a
-//! [`parutil::ScratchPool`] (the paper gives each OpenMP thread a `θ(|W|)`
-//! private array — "batch" aggregation mode of ParButterfly) and publishes
-//! its contributions with relaxed atomic adds. The per-wedge inner loop is
-//! `crate::count::process_start_vertex` (crate-private), shared with the
-//! sequential driver, so the rank-boundary galloping there (exponential search for
-//! the live-rank prefix instead of a per-endpoint break-scan) accelerates
-//! both drivers identically — including the `wedges_traversed` metric,
-//! which is unchanged by construction.
+//! Algorithm 1). Each task — one part of the parallel split — checks a
+//! dense wedge array out of a [`parutil::ScratchPool`] once and reuses it
+//! for every start vertex of the part (the paper gives each OpenMP thread
+//! a `θ(|W|)` private array — "batch" aggregation mode of ParButterfly);
+//! contributions are published with relaxed atomic adds. The per-wedge
+//! inner loop is `crate::count::process_start_vertex` (crate-private),
+//! shared with the sequential driver, so the rank-boundary galloping there
+//! (exponential search for the live-rank prefix instead of a per-endpoint
+//! break-scan) accelerates both drivers identically — including the
+//! `wedges_traversed` metric, which is unchanged by construction.
 
 use crate::VertexCounts;
-use bigraph::{RankedGraph, VertexId};
+use bigraph::{RankedGraph, Side, VertexId};
 use parutil::ScratchPool;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct Scratch {
     wdg: Vec<u32>,
@@ -25,74 +26,7 @@ struct Scratch {
 
 /// Parallel Algorithm 1 on the ambient rayon pool.
 pub fn par_vertex_priority_counts(g: &RankedGraph) -> VertexCounts {
-    let nu = g.num_u();
-    let nv = g.num_v();
-    let cnt_u: Vec<AtomicU64> = (0..nu).map(|_| AtomicU64::new(0)).collect();
-    let cnt_v: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-    let wedges = AtomicU64::new(0);
-    let scratch_len = nu.max(nv);
-    let pool = ScratchPool::new(move || Scratch {
-        wdg: vec![0u32; scratch_len],
-        nze: Vec::new(),
-        nzw: Vec::new(),
-    });
-
-    // U-side start vertices.
-    (0..nu as VertexId).into_par_iter().for_each(|sp| {
-        let mut s = pool.acquire();
-        let Scratch { wdg, nze, nzw } = &mut *s;
-        let w = crate::count::process_start_vertex(
-            sp,
-            g.rank_u(sp),
-            g.neighbors_u(sp),
-            |mp| g.rank_v(mp),
-            |mp| g.neighbors_v(mp),
-            |ep| g.rank_u(ep),
-            |_| true,
-            |_| true,
-            wdg,
-            nze,
-            nzw,
-            |ep, b| {
-                cnt_u[ep as usize].fetch_add(b, Ordering::Relaxed);
-            },
-            |mp, b| {
-                cnt_v[mp as usize].fetch_add(b, Ordering::Relaxed);
-            },
-        );
-        wedges.fetch_add(w, Ordering::Relaxed);
-    });
-    // V-side start vertices.
-    (0..nv as VertexId).into_par_iter().for_each(|sp| {
-        let mut s = pool.acquire();
-        let Scratch { wdg, nze, nzw } = &mut *s;
-        let w = crate::count::process_start_vertex(
-            sp,
-            g.rank_v(sp),
-            g.neighbors_v(sp),
-            |mp| g.rank_u(mp),
-            |mp| g.neighbors_u(mp),
-            |ep| g.rank_v(ep),
-            |_| true,
-            |_| true,
-            wdg,
-            nze,
-            nzw,
-            |ep, b| {
-                cnt_v[ep as usize].fetch_add(b, Ordering::Relaxed);
-            },
-            |mp, b| {
-                cnt_u[mp as usize].fetch_add(b, Ordering::Relaxed);
-            },
-        );
-        wedges.fetch_add(w, Ordering::Relaxed);
-    });
-
-    VertexCounts {
-        u: cnt_u.into_iter().map(AtomicU64::into_inner).collect(),
-        v: cnt_v.into_iter().map(AtomicU64::into_inner).collect(),
-        wedges_traversed: wedges.into_inner(),
-    }
+    par_counts(g, |_| true, |_| true)
 }
 
 /// Parallel counting restricted to the *live* subgraph, without compacting
@@ -103,21 +37,34 @@ pub fn par_vertex_priority_counts(g: &RankedGraph) -> VertexCounts {
 /// butterflies are excluded exactly as if the graph had been compacted.
 pub fn par_counts_with_filter(
     g: &RankedGraph,
-    filtered_side: bigraph::Side,
-    alive: &[std::sync::atomic::AtomicBool],
+    filtered_side: Side,
+    alive: &[AtomicBool],
 ) -> VertexCounts {
-    use bigraph::Side;
+    let live = |x: VertexId| -> bool { alive[x as usize].load(Ordering::Relaxed) };
+    match filtered_side {
+        Side::U => {
+            assert_eq!(alive.len(), g.num_u());
+            par_counts(g, live, |_| true)
+        }
+        Side::V => {
+            assert_eq!(alive.len(), g.num_v());
+            par_counts(g, |_| true, live)
+        }
+    }
+}
+
+/// Both passes of Algorithm 1 — start vertices on U, then on V — over the
+/// vertices `live_u` and `live_v` accept: a dead vertex starts no wedge,
+/// and wedges through a dead middle or to a dead endpoint are skipped.
+fn par_counts(
+    g: &RankedGraph,
+    live_u: impl Fn(VertexId) -> bool + Sync,
+    live_v: impl Fn(VertexId) -> bool + Sync,
+) -> VertexCounts {
     let nu = g.num_u();
     let nv = g.num_v();
-    match filtered_side {
-        Side::U => assert_eq!(alive.len(), nu),
-        Side::V => assert_eq!(alive.len(), nv),
-    }
-    let live = |x: VertexId| -> bool { alive[x as usize].load(Ordering::Relaxed) };
-
     let cnt_u: Vec<AtomicU64> = (0..nu).map(|_| AtomicU64::new(0)).collect();
     let cnt_v: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-    let wedges = AtomicU64::new(0);
     let scratch_len = nu.max(nv);
     let pool = ScratchPool::new(move || Scratch {
         wdg: vec![0u32; scratch_len],
@@ -126,66 +73,74 @@ pub fn par_counts_with_filter(
     });
 
     // U-side start vertices (middles on V, endpoints on U).
-    (0..nu as VertexId).into_par_iter().for_each(|sp| {
-        if filtered_side == Side::U && !live(sp) {
-            return;
-        }
-        let mut s = pool.acquire();
-        let Scratch { wdg, nze, nzw } = &mut *s;
-        let w = crate::count::process_start_vertex(
-            sp,
-            g.rank_u(sp),
-            g.neighbors_u(sp),
-            |mp| g.rank_v(mp),
-            |mp| g.neighbors_v(mp),
-            |ep| g.rank_u(ep),
-            |mp| filtered_side != Side::V || live(mp),
-            |ep| filtered_side != Side::U || live(ep),
-            wdg,
-            nze,
-            nzw,
-            |ep, b| {
-                cnt_u[ep as usize].fetch_add(b, Ordering::Relaxed);
+    let wedges_u: u64 = (0..nu as VertexId)
+        .into_par_iter()
+        .filter(|&sp| live_u(sp))
+        .fold(
+            || (pool.acquire(), 0u64),
+            |(mut s, wedges), sp| {
+                let Scratch { wdg, nze, nzw } = &mut *s;
+                let w = crate::count::process_start_vertex(
+                    sp,
+                    g.rank_u(sp),
+                    g.neighbors_u(sp),
+                    |mp| g.rank_v(mp),
+                    |mp| g.neighbors_v(mp),
+                    |ep| g.rank_u(ep),
+                    &live_v,
+                    &live_u,
+                    wdg,
+                    nze,
+                    nzw,
+                    |ep, b| {
+                        cnt_u[ep as usize].fetch_add(b, Ordering::Relaxed);
+                    },
+                    |mp, b| {
+                        cnt_v[mp as usize].fetch_add(b, Ordering::Relaxed);
+                    },
+                );
+                (s, wedges + w)
             },
-            |mp, b| {
-                cnt_v[mp as usize].fetch_add(b, Ordering::Relaxed);
-            },
-        );
-        wedges.fetch_add(w, Ordering::Relaxed);
-    });
+        )
+        .map(|(_, wedges)| wedges)
+        .sum();
     // V-side start vertices (middles on U, endpoints on V).
-    (0..nv as VertexId).into_par_iter().for_each(|sp| {
-        if filtered_side == Side::V && !live(sp) {
-            return;
-        }
-        let mut s = pool.acquire();
-        let Scratch { wdg, nze, nzw } = &mut *s;
-        let w = crate::count::process_start_vertex(
-            sp,
-            g.rank_v(sp),
-            g.neighbors_v(sp),
-            |mp| g.rank_u(mp),
-            |mp| g.neighbors_u(mp),
-            |ep| g.rank_v(ep),
-            |mp| filtered_side != Side::U || live(mp),
-            |ep| filtered_side != Side::V || live(ep),
-            wdg,
-            nze,
-            nzw,
-            |ep, b| {
-                cnt_v[ep as usize].fetch_add(b, Ordering::Relaxed);
+    let wedges_v: u64 = (0..nv as VertexId)
+        .into_par_iter()
+        .filter(|&sp| live_v(sp))
+        .fold(
+            || (pool.acquire(), 0u64),
+            |(mut s, wedges), sp| {
+                let Scratch { wdg, nze, nzw } = &mut *s;
+                let w = crate::count::process_start_vertex(
+                    sp,
+                    g.rank_v(sp),
+                    g.neighbors_v(sp),
+                    |mp| g.rank_u(mp),
+                    |mp| g.neighbors_u(mp),
+                    |ep| g.rank_v(ep),
+                    &live_u,
+                    &live_v,
+                    wdg,
+                    nze,
+                    nzw,
+                    |ep, b| {
+                        cnt_v[ep as usize].fetch_add(b, Ordering::Relaxed);
+                    },
+                    |mp, b| {
+                        cnt_u[mp as usize].fetch_add(b, Ordering::Relaxed);
+                    },
+                );
+                (s, wedges + w)
             },
-            |mp, b| {
-                cnt_u[mp as usize].fetch_add(b, Ordering::Relaxed);
-            },
-        );
-        wedges.fetch_add(w, Ordering::Relaxed);
-    });
+        )
+        .map(|(_, wedges)| wedges)
+        .sum();
 
     VertexCounts {
         u: cnt_u.into_iter().map(AtomicU64::into_inner).collect(),
         v: cnt_v.into_iter().map(AtomicU64::into_inner).collect(),
-        wedges_traversed: wedges.into_inner(),
+        wedges_traversed: wedges_u + wedges_v,
     }
 }
 

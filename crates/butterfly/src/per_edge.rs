@@ -66,7 +66,8 @@ pub fn per_edge_counts(view: SideGraph<'_>) -> Vec<u64> {
 
 /// Parallel per-edge counting: each primary vertex owns a disjoint,
 /// contiguous output range in the counts vector (its CSR positions), so
-/// vertices parallelize with per-task dense scratch and no atomics.
+/// vertices parallelize with no atomics; each task checks its dense
+/// scratch out once and reuses it for all of its vertices.
 pub fn par_per_edge_counts(view: SideGraph<'_>) -> Vec<u64> {
     use parutil::ScratchPool;
     use rayon::prelude::*;
@@ -86,37 +87,39 @@ pub fn par_per_edge_counts(view: SideGraph<'_>) -> Vec<u64> {
             rest = tail;
         }
     }
-    slices.into_par_iter().enumerate().for_each(|(u, out)| {
-        let u = u as VertexId;
-        if out.is_empty() {
-            return;
-        }
-        let mut guard = pool.acquire();
-        let (common, touched) = &mut *guard;
-        for &v in view.neighbors_primary(u) {
-            for &u2 in view.neighbors_secondary(v) {
-                if u2 != u {
-                    if common[u2 as usize] == 0 {
-                        touched.push(u2);
+    slices.into_par_iter().enumerate().for_each_init(
+        || pool.acquire(),
+        |guard, (u, out)| {
+            let u = u as VertexId;
+            if out.is_empty() {
+                return;
+            }
+            let (common, touched) = &mut **guard;
+            for &v in view.neighbors_primary(u) {
+                for &u2 in view.neighbors_secondary(v) {
+                    if u2 != u {
+                        if common[u2 as usize] == 0 {
+                            touched.push(u2);
+                        }
+                        common[u2 as usize] += 1;
                     }
-                    common[u2 as usize] += 1;
                 }
             }
-        }
-        for (pos, &v) in view.neighbors_primary(u).iter().enumerate() {
-            let mut b = 0u64;
-            for &u2 in view.neighbors_secondary(v) {
-                if u2 != u {
-                    b += (common[u2 as usize] - 1) as u64;
+            for (pos, &v) in view.neighbors_primary(u).iter().enumerate() {
+                let mut b = 0u64;
+                for &u2 in view.neighbors_secondary(v) {
+                    if u2 != u {
+                        b += (common[u2 as usize] - 1) as u64;
+                    }
                 }
+                out[pos] = b;
             }
-            out[pos] = b;
-        }
-        for &u2 in touched.iter() {
-            common[u2 as usize] = 0;
-        }
-        touched.clear();
-    });
+            for &u2 in touched.iter() {
+                common[u2 as usize] = 0;
+            }
+            touched.clear();
+        },
+    );
     counts
 }
 

@@ -8,6 +8,11 @@
 //! what collapses the synchronization count ρ from millions to ~1000
 //! (Table 3).
 //!
+//! The per-subset bookkeeping — the ⋈init snapshot, findHi's range
+//! determination and the first active set — reads only the vertices still
+//! live: CD keeps them in an ascending list, pruned of the peeled ones
+//! once at the top of every subset, so the list shrinks as CD advances.
+//!
 //! Also implements the two workload optimizations of §4, each governed by
 //! its [`Config`] toggle:
 //! * **HUC** — when peeling the active set would traverse more wedges than
@@ -19,7 +24,7 @@
 
 use crate::config::Config;
 use crate::metrics::Metrics;
-use crate::peel::{peel_vertex, PeelGraph, PeelScratch, WedgeCounter};
+use crate::peel::{peel_vertex, PeelGraph, PeelScratch};
 use crate::support::SupportVec;
 use bigraph::{BipartiteCsr, RankedGraph, Side, VertexId};
 use parutil::ScratchPool;
@@ -71,8 +76,13 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
     let mut subsets: Vec<Vec<VertexId>> = Vec::new();
     let mut bounds: Vec<u64> = vec![0];
     let mut scale = 1.0f64;
+    // The live primaries, ascending. Pruned at the top of each subset, so
+    // during a subset it may still hold vertices that subset peeled.
+    let mut live: Vec<VertexId> = (0..n as VertexId).collect();
+    // findHi's `(support, wedges)` pairs, one per live vertex.
+    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(n);
 
-    let wedges_cd = WedgeCounter::new();
+    let mut wedges_cd = 0u64;
     let mut rounds = 0u64;
     let mut recounts = 0u64;
     let scratch_pool = ScratchPool::new(move || PeelScratch::new(n));
@@ -85,17 +95,23 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
         let theta_lo = *bounds.last().expect("bounds starts non-empty");
 
         // ⋈init snapshot for every still-alive vertex (lines 6–7).
-        snapshot_alive(&pg, &support, &mut init_support);
+        live.retain(|&u| pg.is_alive(u));
+        pairs.clear();
+        for &u in &live {
+            let s = support.get(u);
+            init_support[u as usize] = s;
+            pairs.push((s, w[u as usize]));
+        }
 
         // ---- Adaptive range determination (§3.1.1) ----
         let parts_left = (p_target - i) as u64;
         let base_tgt = remaining_wedges.div_ceil(parts_left).max(1);
         let tgt = ((base_tgt as f64) * scale).round().max(1.0) as u64;
-        let hi = find_hi(&pg, &support, &w, tgt, theta_lo);
+        let hi = find_hi(&mut pairs, tgt, theta_lo);
         debug_assert!(hi > theta_lo);
 
         // ---- Peel the range [theta_lo, hi) to exhaustion ----
-        let mut active: Vec<VertexId> = filter_active(&pg, &support, hi);
+        let mut active = below(&live, &pg, &support, hi);
         let mut subset: Vec<VertexId> = Vec::new();
         while !active.is_empty() {
             rounds += 1;
@@ -112,40 +128,43 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
                 // re-count needs no re-ranking.
                 recounts += 1;
                 let rc = pg.recount_live();
-                wedges_cd.add(rc.wedges_traversed);
+                wedges_cd += rc.wedges_traversed;
                 let fresh = rc.side(side);
-                let alive_flags = pg.alive_flags();
-                fresh.par_iter().enumerate().for_each(|(u, &c)| {
-                    if alive_flags[u].load(std::sync::atomic::Ordering::Relaxed) {
-                        support.set(u as VertexId, c.max(theta_lo));
+                for &u in &live {
+                    if pg.is_alive(u) {
+                        support.set(u, fresh[u as usize].max(theta_lo));
                     }
-                });
-                active = filter_active(&pg, &support, hi);
+                }
+                active = below(&live, &pg, &support, hi);
             } else {
                 // Ordinary peel iteration (lines 12–13), parallel over the
-                // active set with pooled scratch.
-                let iter_wedges = WedgeCounter::new();
-                let candidates: Vec<VertexId> = active
+                // active set; each task checks scratch out once.
+                let (candidates, iter_wedges) = active
                     .par_iter()
-                    .fold(Vec::new, |mut acc, &u| {
-                        let mut scratch = scratch_pool.acquire();
-                        let wc = peel_vertex(
-                            &pg,
-                            u,
-                            theta_lo,
-                            &support,
-                            pg.alive_flags(),
-                            &mut scratch,
-                            |u2| acc.push(u2),
-                        );
-                        iter_wedges.add(wc);
-                        acc
-                    })
-                    .reduce(Vec::new, |mut a, mut b| {
-                        a.append(&mut b);
-                        a
-                    });
-                wedges_cd.add(iter_wedges.get());
+                    .fold(
+                        || (Vec::new(), 0u64, scratch_pool.acquire()),
+                        |(mut acc, wedges, mut scratch), &u| {
+                            let wc = peel_vertex(
+                                &pg,
+                                u,
+                                theta_lo,
+                                &support,
+                                pg.alive_flags(),
+                                &mut scratch,
+                                |u2| acc.push(u2),
+                            );
+                            (acc, wedges + wc, scratch)
+                        },
+                    )
+                    .map(|(acc, wedges, _)| (acc, wedges))
+                    .reduce(
+                        || (Vec::new(), 0),
+                        |(mut a, wa), (mut b, wb)| {
+                            a.append(&mut b);
+                            (a, wa + wb)
+                        },
+                    );
+                wedges_cd += iter_wedges;
                 active = dedup_next_active(candidates, &pg, &support, hi, &mut queued);
             }
         }
@@ -166,14 +185,17 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
 
     // Leftovers after P subsets form a single extra subset (§3.1.1).
     if pg.live_count() > 0 {
-        snapshot_alive(&pg, &support, &mut init_support);
-        subsets.push(pg.live_vertices());
+        live.retain(|&u| pg.is_alive(u));
+        for &u in &live {
+            init_support[u as usize] = support.get(u);
+        }
+        subsets.push(live);
         bounds.push(u64::MAX);
     }
 
     let metrics = Metrics {
         wedges_count: counts.wedges_traversed,
-        wedges_cd: wedges_cd.get(),
+        wedges_cd,
         sync_rounds: rounds,
         recounts,
         partitions_used: subsets.len(),
@@ -191,56 +213,75 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
     }
 }
 
-/// Copies current supports of live vertices into the ⋈init vector.
-fn snapshot_alive(pg: &PeelGraph, support: &SupportVec, init: &mut [u64]) {
-    let alive = pg.alive_flags();
-    init.par_iter_mut().enumerate().for_each(|(u, slot)| {
-        if alive[u].load(std::sync::atomic::Ordering::Relaxed) {
-            *slot = support.get(u as VertexId);
-        }
-    });
-}
-
-/// `findHi` (Algorithm 3 lines 16–21): the smallest support value `θ` such
-/// that live vertices with support ≤ θ jointly own at least `tgt` wedges;
-/// returns `θ + 1` as the exclusive range bound. Implemented as the paper
-/// describes: aggregate wedge counts into a hashmap keyed by the (few)
-/// unique support values, sort the keys, prefix-scan.
-fn find_hi(pg: &PeelGraph, support: &SupportVec, w: &[u64], tgt: u64, theta_lo: u64) -> u64 {
-    let work: std::collections::HashMap<u64, u64> = (0..pg.num_primary() as VertexId)
-        .into_par_iter()
-        .filter(|&u| pg.is_alive(u))
-        .fold(
-            std::collections::HashMap::new,
-            |mut acc: std::collections::HashMap<u64, u64>, u| {
-                *acc.entry(support.get(u)).or_default() += w[u as usize];
-                acc
-            },
-        )
-        .reduce(std::collections::HashMap::new, |mut a, b| {
-            for (k, v) in b {
-                *a.entry(k).or_default() += v;
-            }
-            a
-        });
-    let mut keys: Vec<u64> = work.keys().copied().collect();
-    keys.sort_unstable();
-    let mut acc = 0u64;
-    for &s in &keys {
-        acc += work[&s];
-        if acc >= tgt {
-            return s + 1;
+/// `findHi` (Algorithm 3 lines 16–21) over `(support, wedges)` pairs, one
+/// per live vertex: the smallest support `θ` such that the pairs with
+/// support ≤ `θ` jointly own at least `tgt` wedges; returns `θ + 1` as the
+/// exclusive range bound. When the pairs own fewer than `tgt` wedges, the
+/// bound sweeps everything left in (largest support + 1); with no pairs it
+/// is `theta_lo + 1`.
+///
+/// A weighted selection (quickselect with a 3-way partition, so runs of
+/// equal supports cost one step) in expected `O(len)`, reordering `pairs`.
+/// It returns what the paper's histogram of unique supports, sorted and
+/// prefix-scanned, returns.
+pub(crate) fn find_hi(pairs: &mut [(u64, u64)], tgt: u64, theta_lo: u64) -> u64 {
+    let total: u64 = pairs.iter().map(|&(_, w)| w).sum();
+    if pairs.is_empty() || total < tgt {
+        return pairs
+            .iter()
+            .map(|&(s, _)| s)
+            .max()
+            .map_or(theta_lo + 1, |s| s + 1);
+    }
+    // Invariant: the answer is one of `rest`'s supports, and `tgt` is the
+    // wedges still missing after every pair dropped below `rest`.
+    let (mut rest, mut tgt) = (pairs, tgt);
+    loop {
+        let pivot = rest[rest.len() / 2].0;
+        let (lt, gt, w_lt, w_eq) = partition3(rest, pivot);
+        if lt > 0 && w_lt >= tgt {
+            rest = &mut rest[..lt];
+        } else if w_lt + w_eq >= tgt {
+            return pivot + 1;
+        } else {
+            tgt -= w_lt + w_eq;
+            rest = &mut rest[gt..];
         }
     }
-    // Not enough wedges remain: sweep everything left into this subset.
-    keys.last().map(|&s| s + 1).unwrap_or(theta_lo + 1)
 }
 
-/// All live vertices with support strictly below `hi` (ascending id order —
-/// rayon's indexed collect preserves it).
-fn filter_active(pg: &PeelGraph, support: &SupportVec, hi: u64) -> Vec<VertexId> {
-    (0..pg.num_primary() as VertexId)
-        .into_par_iter()
+/// Reorders `v` into supports below, equal to, then above `pivot`.
+/// Returns the two boundaries and the wedges below and equal.
+fn partition3(v: &mut [(u64, u64)], pivot: u64) -> (usize, usize, u64, u64) {
+    let (mut lt, mut i, mut gt) = (0, 0, v.len());
+    let (mut w_lt, mut w_eq) = (0u64, 0u64);
+    while i < gt {
+        let (s, w) = v[i];
+        match s.cmp(&pivot) {
+            std::cmp::Ordering::Less => {
+                w_lt += w;
+                v.swap(lt, i);
+                lt += 1;
+                i += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                w_eq += w;
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                gt -= 1;
+                v.swap(i, gt);
+            }
+        }
+    }
+    (lt, gt, w_lt, w_eq)
+}
+
+/// The vertices of `live` still alive with support strictly below `hi`, in
+/// `live`'s ascending order.
+fn below(live: &[VertexId], pg: &PeelGraph, support: &SupportVec, hi: u64) -> Vec<VertexId> {
+    live.iter()
+        .copied()
         .filter(|&u| pg.is_alive(u) && support.get(u) < hi)
         .collect()
 }
@@ -274,6 +315,7 @@ mod tests {
     use super::*;
     use bigraph::builder::from_edges;
     use bigraph::gen;
+    use proptest::prelude::*;
 
     fn fig1_graph() -> BipartiteCsr {
         from_edges(
@@ -399,6 +441,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// findHi by the paper's recipe: wedges per unique support, the
+    /// supports sorted, then a prefix scan.
+    fn find_hi_by_histogram(pairs: &[(u64, u64)], tgt: u64, theta_lo: u64) -> u64 {
+        let mut work = std::collections::BTreeMap::new();
+        for &(s, w) in pairs {
+            *work.entry(s).or_insert(0u64) += w;
+        }
+        let mut acc = 0;
+        for (&s, &w) in &work {
+            acc += w;
+            if acc >= tgt {
+                return s + 1;
+            }
+        }
+        work.keys().next_back().map_or(theta_lo + 1, |&s| s + 1)
+    }
+
+    proptest! {
+        #[test]
+        fn find_hi_matches_sorted_histogram(
+            // Few distinct supports (heavy duplicates) and many zero
+            // weights; targets from 0 to well above the total.
+            pairs in proptest::collection::vec((0u64..8, 0u64..3), 0..60),
+            tgt in 0u64..150,
+            theta_lo in 0u64..4,
+        ) {
+            let mut scratch = pairs.clone();
+            prop_assert_eq!(
+                find_hi(&mut scratch, tgt, theta_lo),
+                find_hi_by_histogram(&pairs, tgt, theta_lo)
+            );
+        }
+
+        #[test]
+        fn find_hi_matches_sorted_histogram_on_wide_supports(
+            pairs in proptest::collection::vec((0u64..1_000_000, 0u64..500), 0..400),
+            tgt in 1u64..120_000,
+        ) {
+            let mut scratch = pairs.clone();
+            prop_assert_eq!(
+                find_hi(&mut scratch, tgt, 0),
+                find_hi_by_histogram(&pairs, tgt, 0)
+            );
+        }
+    }
+
+    #[test]
+    fn find_hi_corner_cases() {
+        let cases: [(&[(u64, u64)], u64); 8] = [
+            (&[], 1),
+            (&[], 0),
+            (&[(5, 3)], 1),
+            (&[(5, 3)], 4),
+            (&[(5, 0)], 1),
+            (&[(7, 2), (7, 2), (7, 2)], 5),
+            (&[(3, 0), (9, 0), (4, 0)], 1),
+            (&[(2, 1), (6, 4), (4, 0), (6, 1)], 5),
+        ];
+        for (pairs, tgt) in cases {
+            let mut scratch = pairs.to_vec();
+            assert_eq!(
+                find_hi(&mut scratch, tgt, 2),
+                find_hi_by_histogram(pairs, tgt, 2),
+                "{pairs:?}, target {tgt}"
+            );
+        }
+        assert_eq!(find_hi(&mut [], 1, 2), 3, "no pairs: theta_lo + 1");
+        assert_eq!(find_hi(&mut [(5, 3)], 4, 2), 6, "target above the total");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::bucket::BucketQueue;
 use crate::bup::BaselineResult;
-use crate::peel::{peel_vertex, PeelScratch, WedgeCounter};
+use crate::peel::{peel_vertex, PeelScratch};
 use crate::support::SupportVec;
 use bigraph::{BipartiteCsr, Side, VertexId};
 use parutil::ScratchPool;
@@ -41,7 +41,7 @@ pub fn parb_decompose(g: &BipartiteCsr, side: Side, heap_arity_unused: usize) ->
     let alive: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(true)).collect();
     let mut queue = BucketQueue::new(PARB_OPEN_BUCKETS, &support.snapshot());
     let mut tip = vec![0u64; n];
-    let wedges = WedgeCounter::new();
+    let mut wedges = 0u64;
     let scratch_pool = ScratchPool::new(move || PeelScratch::new(n));
     let mut rounds = 0u64;
 
@@ -71,32 +71,36 @@ pub fn parb_decompose(g: &BipartiteCsr, side: Side, heap_arity_unused: usize) ->
 
         // Peel the batch; collect every vertex whose support changed so it
         // can be (lazily) re-filed in the bucket structure.
-        let updated: Vec<VertexId> = if batch.len() < SEQ_BATCH_CUTOFF {
-            let mut scratch = scratch_pool.acquire();
-            let mut local = Vec::new();
-            for &u in &batch {
-                let w = peel_vertex(&view, u, theta, &support, &alive, &mut scratch, |u2| {
-                    local.push(u2)
-                });
-                wedges.add(w);
-            }
-            local
+        let peel = |acc: &mut Vec<VertexId>, scratch: &mut PeelScratch, u: VertexId| -> u64 {
+            peel_vertex(&view, u, theta, &support, &alive, scratch, |u2| {
+                acc.push(u2)
+            })
+        };
+        let (updated, round_wedges) = if batch.len() < SEQ_BATCH_CUTOFF {
+            let (mut acc, mut scratch) = (Vec::new(), scratch_pool.acquire());
+            let w = batch.iter().map(|&u| peel(&mut acc, &mut scratch, u)).sum();
+            (acc, w)
         } else {
+            // Each task checks scratch out once for all of its vertices.
             batch
                 .par_iter()
-                .fold(Vec::new, |mut acc, &u| {
-                    let mut scratch = scratch_pool.acquire();
-                    let w = peel_vertex(&view, u, theta, &support, &alive, &mut scratch, |u2| {
-                        acc.push(u2)
-                    });
-                    wedges.add(w);
-                    acc
-                })
-                .reduce(Vec::new, |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                })
+                .fold(
+                    || (Vec::new(), 0u64, scratch_pool.acquire()),
+                    |(mut acc, w, mut scratch), &u| {
+                        let wc = peel(&mut acc, &mut scratch, u);
+                        (acc, w + wc, scratch)
+                    },
+                )
+                .map(|(acc, w, _)| (acc, w))
+                .reduce(
+                    || (Vec::new(), 0),
+                    |(mut a, wa), (mut b, wb)| {
+                        a.append(&mut b);
+                        (a, wa + wb)
+                    },
+                )
         };
+        wedges += round_wedges;
         for u2 in updated {
             if alive[u2 as usize].load(Ordering::Relaxed) {
                 queue.insert(u2, support.get(u2));
@@ -108,7 +112,7 @@ pub fn parb_decompose(g: &BipartiteCsr, side: Side, heap_arity_unused: usize) ->
         side,
         tip,
         wedges_count: counts.wedges_traversed,
-        wedges_peel: wedges.get(),
+        wedges_peel: wedges,
         rounds,
         time_count,
         time_peel: t1.elapsed(),

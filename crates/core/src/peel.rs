@@ -7,7 +7,7 @@
 
 use crate::support::SupportVec;
 use bigraph::{BipartiteCsr, RankedGraph, Side, SideGraph, VertexId};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Neighbour access used by wedge traversal. Implemented by [`SideGraph`]
 /// (static graph) and [`PeelGraph`] (CD's live graph).
@@ -332,13 +332,6 @@ impl PeelGraph {
         }
     }
 
-    /// Live primary ids (ascending).
-    pub fn live_vertices(&self) -> Vec<VertexId> {
-        (0..self.num_primary() as VertexId)
-            .filter(|&p| self.is_alive(p))
-            .collect()
-    }
-
     /// Peel-cost `Σ_{v∈N_u} d_v` of one vertex, with `d_v` the length of
     /// `v`'s list as traversal sees it (live or static).
     pub fn peel_cost(&self, u: VertexId) -> u64 {
@@ -402,23 +395,6 @@ impl WedgeAccess for PeelGraph {
         self.nbrs_primary(p)
             .binary_search_by_key(&rank, |&x| self.rank_secondary(x))
             .is_ok()
-    }
-}
-
-/// Shared atomic wedge counter used by the parallel peeling loops.
-#[derive(Debug, Default)]
-pub struct WedgeCounter(AtomicU64);
-
-impl WedgeCounter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -562,7 +538,8 @@ mod tests {
         pg.kill_batch(&[2]);
         // u0 (a secondary vertex in this view) lost its edge to v2.
         assert_eq!(pg.nbrs_secondary(0).len(), 2);
-        assert_eq!(pg.live_vertices(), vec![0, 1]);
+        assert!(pg.is_alive(0) && pg.is_alive(1) && !pg.is_alive(2));
+        assert_eq!(pg.live_count(), 2);
     }
 
     #[test]

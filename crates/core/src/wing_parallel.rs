@@ -77,6 +77,10 @@ pub fn receipt_wing_decompose(
     let mut subsets: Vec<Vec<u32>> = Vec::new();
     let mut bounds: Vec<u64> = vec![0];
     let mut live = m;
+    // The unassigned edges, ascending, pruned at the top of each subset;
+    // and findHi's `(support, work)` pairs, one per unassigned edge.
+    let mut live_edges: Vec<u32> = (0..m as u32).collect();
+    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(m);
     let work_cd = AtomicU64::new(0);
     let mut rounds = 0u64;
     let mut scale = 1.0f64;
@@ -91,22 +95,22 @@ pub fn receipt_wing_decompose(
         }
         let theta_lo = *bounds.last().expect("non-empty");
         // Snapshot ⋈init for alive edges.
-        init_support
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(e, slot)| {
-                if is_alive(e as u32) {
-                    *slot = support[e].load(Ordering::Relaxed);
-                }
-            });
+        live_edges.retain(|&e| is_alive(e));
+        pairs.clear();
+        for &e in &live_edges {
+            let s = support[e as usize].load(Ordering::Relaxed);
+            init_support[e as usize] = s;
+            pairs.push((s, w[e as usize]));
+        }
         // Range bound.
         let parts_left = (p_target - i) as u64;
         let tgt = (((remaining_w.div_ceil(parts_left)).max(1) as f64) * scale).max(1.0) as u64;
-        let hi = find_hi_edges(&support, &w, &subset_of, tgt, theta_lo, UNASSIGNED);
+        let hi = crate::cd::find_hi(&mut pairs, tgt, theta_lo);
 
-        let mut active: Vec<u32> = (0..m as u32)
-            .into_par_iter()
-            .filter(|&e| is_alive(e) && support[e as usize].load(Ordering::Relaxed) < hi)
+        let mut active: Vec<u32> = live_edges
+            .iter()
+            .copied()
+            .filter(|&e| support[e as usize].load(Ordering::Relaxed) < hi)
             .collect();
         let mut subset: Vec<u32> = Vec::new();
         let mut iter_id = 0u64;
@@ -167,20 +171,13 @@ pub fn receipt_wing_decompose(
         subsets.push(subset);
     }
     if live > 0 {
-        init_support
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(e, slot)| {
-                if is_alive(e as u32) {
-                    *slot = support[e].load(Ordering::Relaxed);
-                }
-            });
-        let rest: Vec<u32> = (0..m as u32).filter(|&e| is_alive(e)).collect();
+        live_edges.retain(|&e| is_alive(e));
         let last = subsets.len() as u64;
-        for &e in &rest {
+        for &e in &live_edges {
+            init_support[e as usize] = support[e as usize].load(Ordering::Relaxed);
             subset_of[e as usize].store(last, Ordering::Relaxed);
         }
-        subsets.push(rest);
+        subsets.push(live_edges);
         bounds.push(u64::MAX);
     }
 
@@ -456,43 +453,6 @@ fn refine_wing_subset(
         }
     }
     work
-}
-
-/// `findHi` over edges.
-fn find_hi_edges(
-    support: &[AtomicU64],
-    w: &[u64],
-    subset_of: &[AtomicU64],
-    tgt: u64,
-    theta_lo: u64,
-    unassigned: u32,
-) -> u64 {
-    let work: std::collections::HashMap<u64, u64> = (0..support.len())
-        .into_par_iter()
-        .filter(|&e| subset_of[e].load(Ordering::Relaxed) == unassigned as u64)
-        .fold(
-            std::collections::HashMap::new,
-            |mut acc: std::collections::HashMap<u64, u64>, e| {
-                *acc.entry(support[e].load(Ordering::Relaxed)).or_default() += w[e];
-                acc
-            },
-        )
-        .reduce(std::collections::HashMap::new, |mut a, b| {
-            for (k, v) in b {
-                *a.entry(k).or_default() += v;
-            }
-            a
-        });
-    let mut keys: Vec<u64> = work.keys().copied().collect();
-    keys.sort_unstable();
-    let mut acc = 0u64;
-    for &s in &keys {
-        acc += work[&s];
-        if acc >= tgt {
-            return s + 1;
-        }
-    }
-    keys.last().map(|&s| s + 1).unwrap_or(theta_lo + 1)
 }
 
 #[cfg(test)]

@@ -5,11 +5,11 @@
 //!
 //! * [`atomic`] — a floor-saturating atomic subtract (the support-update
 //!   primitive from Lemma 2 of the paper).
-//! * [`scan`] — sequential and parallel prefix sums (used by CSR builders
-//!   and the range-determination `work` histogram of Algorithm 3).
+//! * [`scan`] — sequential and parallel prefix sums (used by the CSR
+//!   builder and edge compaction).
 //! * [`pool`] — a scratch-buffer pool so parallel peeling iterations can
 //!   reuse dense per-thread wedge-aggregation arrays without re-allocating
-//!   `O(n)` memory per iteration.
+//!   `O(n)` memory per iteration; each task checks a buffer out once.
 //! * [`thread`] — running a closure inside a rayon pool of an exact size
 //!   (the paper sweeps thread counts for Figures 10–11).
 

@@ -8,6 +8,9 @@
 //! *siblings* to whichever worker steals them — so instead we keep a pool of
 //! scratch buffers that tasks check out and return; the pool grows to at
 //! most the number of concurrently running tasks (≤ pool thread count).
+//! A task checks a buffer out once, through `for_each_init` or a `fold`
+//! identity, and keeps it for all of its items: one lock round trip per
+//! task instead of one per vertex.
 
 use parking_lot::Mutex;
 

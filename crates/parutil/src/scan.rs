@@ -1,7 +1,7 @@
 //! Prefix sums.
 //!
-//! CSR construction, the `findHi` work histogram of Algorithm 3, and graph
-//! compaction (DGM) all reduce to prefix sums over `u64`/`usize` slices.
+//! CSR construction and edge compaction reduce to prefix sums over
+//! `u64`/`usize` slices.
 
 use rayon::prelude::*;
 
