@@ -28,7 +28,7 @@ fn bench_decomposition(c: &mut Criterion) {
             b.iter(|| black_box(receipt::bup::peel_live(g.view(Side::U), &counts.u, 4)))
         });
         group.bench_function(format!("parb/{name}"), |b| {
-            b.iter(|| black_box(receipt::parb::parb_decompose(g, Side::U, 4)))
+            b.iter(|| black_box(receipt::parb::parb_decompose(g, Side::U)))
         });
         group.bench_function(format!("receipt/{name}"), |b| {
             b.iter(|| {

@@ -20,7 +20,8 @@ fn bench_kernels(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("kernels");
 
-    // Heap arity sweep (the paper picked a k-way heap over buckets/fib).
+    // Heap arity sweep (§5.1: the paper picked a k-way heap over buckets
+    // and Fibonacci heaps).
     for arity in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("heap_sort", arity), &arity, |b, &a| {
             b.iter(|| {
@@ -33,19 +34,6 @@ fn bench_kernels(c: &mut Criterion) {
             })
         });
     }
-
-    // Fibonacci heap over the same keys (§5.1: the paper found the k-way
-    // heap faster in practice despite the Fibonacci heap's asymptotics).
-    group.bench_function("fib_heap_sort", |b| {
-        b.iter(|| {
-            let mut h = receipt::fibheap::FibonacciHeap::new(&keys);
-            let mut out = 0u64;
-            while let Some((_, k)) = h.pop_min() {
-                out = out.wrapping_add(k);
-            }
-            black_box(out)
-        })
-    });
 
     // Bucket queue drain over the same keys.
     group.bench_function("bucket_drain", |b| {

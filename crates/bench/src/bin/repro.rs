@@ -32,10 +32,12 @@
 //!   all      everything above except smoke, in order
 //!
 //!   check-threads FILE...   CI gate: decode two or more `--json` reports
-//!            (e.g. the same experiment at RAYON_NUM_THREADS 1 and 4),
-//!            scrub timings + scheduler telemetry, and fail (exit 1) unless
-//!            every machine-independent field is identical — different
-//!            thread counts must produce the same decomposition results
+//!            (e.g. the same experiment at RAYON_NUM_THREADS 1 and 4, or
+//!            `tipdecomp tip --threads 1` and `--threads 2`), scrub timings,
+//!            scheduler telemetry and the requested `config.threads`, and
+//!            fail (exit 1) unless every machine-independent field is
+//!            identical — different thread counts must produce the same
+//!            decomposition results
 //!   check-sched FILE        CI gate: decode one `--json` report's
 //!            `scheduler` section and fail (exit 1) unless the counters
 //!            match the run's thread budget — ≥ 2 threads must show > 1
@@ -257,12 +259,20 @@ fn read_report_value(path: &str) -> serde_json::Value {
 /// `repro check-threads a.json b.json ...` — all reports must describe the
 /// same machine-independent results once timings and scheduler telemetry
 /// (the only legitimately thread-count-dependent content) are scrubbed.
+/// A `tipdecomp tip` report's `config.threads` is dropped too: it is the
+/// thread count the run was asked for, an input, not a result.
 fn check_threads(files: &[String]) {
     let mut scrubbed: Vec<serde_json::Value> = Vec::with_capacity(files.len());
     for path in files {
         let mut value = read_report_value(path);
         receipt::report::scrub_timings(&mut value);
         receipt::report::scrub_scheduler(&mut value);
+        if let Some(threads) = value
+            .get_mut("config")
+            .and_then(|config| config.get_mut("threads"))
+        {
+            *threads = serde_json::Value::Null;
+        }
         scrubbed.push(value);
     }
     for (path, value) in files.iter().zip(&scrubbed).skip(1) {

@@ -73,7 +73,7 @@ pub fn run_bup(w: &Workload) -> BaselineResult {
 }
 
 pub fn run_parb(w: &Workload) -> BaselineResult {
-    receipt::parb::parb_decompose(&w.graph, w.side, 4)
+    receipt::parb::parb_decompose(&w.graph, w.side)
 }
 
 /// `peel_live` from the counts BUP starts from: `(tips, peel wedges, peel

@@ -121,8 +121,7 @@ impl BipartiteCsr {
 
     /// Iterates all edges as `(u, v)` pairs in CSR order.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.num_u() as VertexId)
-            .flat_map(move |u| self.neighbors_u(u).iter().map(move |&v| (u, v)))
+        self.view(Side::U).edges()
     }
 
     /// Checks membership via binary search (adjacency is sorted).
@@ -130,20 +129,10 @@ impl BipartiteCsr {
         self.neighbors_u(u).binary_search(&v).is_ok()
     }
 
-    /// Edge id of `(u, v)` in U-side CSR order (`u_offsets[u]` + position
-    /// of `v` within the sorted `N(u)`), or `None` if the edge is absent.
-    /// This is the same id space as [`Self::edges`] enumeration order and
-    /// the per-edge counting kernels, so flat per-edge arrays indexed by it
-    /// need no hashing.
+    /// Edge id of `(u, v)` in U-side CSR order: [`SideGraph::edge_index`]
+    /// of the U view.
     pub fn edge_index(&self, u: VertexId, v: VertexId) -> Option<usize> {
-        if u as usize >= self.num_u() {
-            return None;
-        }
-        let offset = self.u_offsets[u as usize];
-        self.neighbors_u(u)
-            .binary_search(&v)
-            .ok()
-            .map(|pos| offset + pos)
+        self.view(Side::U).edge_index(u, v)
     }
 
     /// The view that peels `side` (treats it as the paper's `U`).
@@ -236,6 +225,41 @@ impl<'a> SideGraph<'a> {
             Side::V => self.csr.neighbors_u(s),
         }
     }
+
+    /// Edge id of `(p, s)` in the primary side's CSR order: `p`'s CSR
+    /// offset plus the position of `s` in the sorted `N(p)`. `None` when
+    /// the edge is absent or `p` is out of range. Ids run `0..num_edges()`
+    /// in [`Self::edges`] order, the order of the per-edge counting
+    /// kernels, so flat per-edge arrays indexed by them need no hashing.
+    #[inline]
+    pub fn edge_index(&self, p: VertexId, s: VertexId) -> Option<usize> {
+        let (offsets, adj) = self.primary_csr();
+        let (&start, &end) = (offsets.get(p as usize)?, offsets.get(p as usize + 1)?);
+        adj[start..end]
+            .binary_search(&s)
+            .ok()
+            .map(|pos| start + pos)
+    }
+
+    /// Iterates all edges as `(primary, secondary)` pairs, in edge-id
+    /// order.
+    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + 'a {
+        let (offsets, adj) = self.primary_csr();
+        (0..self.num_primary() as VertexId).flat_map(move |p| {
+            adj[offsets[p as usize]..offsets[p as usize + 1]]
+                .iter()
+                .map(move |&s| (p, s))
+        })
+    }
+
+    /// The primary side's CSR offsets and adjacency.
+    #[inline]
+    fn primary_csr(&self) -> (&'a [usize], &'a [VertexId]) {
+        match self.side {
+            Side::U => (&self.csr.u_offsets, &self.csr.u_adj),
+            Side::V => (&self.csr.v_offsets, &self.csr.v_adj),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -308,6 +332,46 @@ mod tests {
         assert_eq!(vv.num_secondary(), 2);
         assert_eq!(vv.neighbors_primary(2), &[0]);
         assert_eq!(vv.neighbors_secondary(0), &[0, 2]);
+    }
+
+    #[test]
+    fn side_edge_ids_are_positions_in_edges() {
+        // Fewer edges than vertices on either side: both keep isolated
+        // vertices.
+        let g = crate::gen::zipf(80, 60, 50, 0.5, 1.0, 3);
+        for side in [Side::U, Side::V] {
+            let view = g.view(side);
+            let isolated =
+                (0..view.num_primary() as VertexId).filter(|&p| view.deg_primary(p) == 0);
+            assert!(isolated.count() > 0, "side {side} has no isolated vertex");
+            let edges: Vec<_> = view.edges().collect();
+            assert_eq!(edges.len(), g.num_edges());
+            for (e, &(p, s)) in edges.iter().enumerate() {
+                assert_eq!(
+                    view.edge_index(p, s),
+                    Some(e),
+                    "side {side}, edge ({p}, {s})"
+                );
+                let (u, v) = if side == Side::U { (p, s) } else { (s, p) };
+                assert!(g.has_edge(u, v));
+            }
+            for p in 0..view.num_primary() as VertexId {
+                for s in 0..view.num_secondary() as VertexId {
+                    if !view.neighbors_primary(p).contains(&s) {
+                        assert_eq!(view.edge_index(p, s), None, "side {side}, ({p}, {s})");
+                    }
+                }
+            }
+            let past_end = view.num_primary() as VertexId;
+            assert_eq!(view.edge_index(past_end, 0), None);
+            assert_eq!(view.edge_index(VertexId::MAX, 0), None);
+        }
+        let u = g.view(Side::U);
+        assert!(g.edges().eq(u.edges()));
+        for (u_id, v_id) in g.edges() {
+            assert_eq!(g.edge_index(u_id, v_id), u.edge_index(u_id, v_id));
+        }
+        assert_eq!(g.edge_index(g.num_u() as VertexId, 0), None);
     }
 
     #[test]

@@ -6,21 +6,13 @@
 //! every other endpoint `u'` seen through `v` pairs with each of the other
 //! common neighbours of `u` and `u'` to close a quadrangle containing
 //! `(u, v)`.
+//!
+//! Counts are indexed by edge id, [`SideGraph::edge_index`]: the edge's
+//! position in the primary side's CSR. Wing decomposition
+//! (`receipt::wing`) peels in the same id space, walking the butterflies
+//! through one edge with one merge walk, so it needs no table of its own.
 
 use bigraph::{SideGraph, VertexId};
-
-/// Edge identifier: position in the primary-side CSR adjacency
-/// (`offset(u) + index_of(v in N(u))`).
-pub type EdgeId = usize;
-
-/// Maps `(u, position-within-N(u))` to an [`EdgeId`].
-pub fn edge_id(view: SideGraph<'_>, u: VertexId, pos: usize) -> EdgeId {
-    let mut base = 0usize;
-    for p in 0..u {
-        base += view.deg_primary(p);
-    }
-    base + pos
-}
 
 /// Per-edge butterfly counts, indexed by primary-CSR edge position. Runs in
 /// `O(Σ_u Σ_{v∈N_u} d_v)` with a dense common-neighbour scratch.
@@ -173,15 +165,6 @@ mod tests {
         let cu = per_edge_counts(g.view(Side::U));
         let cv = per_edge_counts(g.view(Side::V));
         assert_eq!(total_from_edges(&cu), total_from_edges(&cv));
-    }
-
-    #[test]
-    fn edge_id_layout() {
-        let g = from_edges(3, 2, &[(0, 0), (0, 1), (2, 1)]).unwrap();
-        let v = g.view(Side::U);
-        assert_eq!(edge_id(v, 0, 0), 0);
-        assert_eq!(edge_id(v, 0, 1), 1);
-        assert_eq!(edge_id(v, 2, 0), 2);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Sequential Bottom-Up Peeling (Algorithm 2) — the classical tip
 //! decomposition — and [`peel_live`], the same peel with less wedge work,
-//! which fine-grained decomposition and the dynamic path peel with.
+//! which fine-grained decomposition and the dynamic path peel with. Both
+//! pop from the k-way [`IndexedMinHeap`], the crate's one priority queue.
 
 use crate::heap::IndexedMinHeap;
 use crate::peel::{walk_live, LiveAdjacency, PeelScratch};
-use crate::queue::DecreaseKeyQueue;
 use bigraph::{BipartiteCsr, Side, SideGraph, VertexId};
 use std::time::Instant;
 
@@ -31,25 +31,15 @@ pub struct BaselineResult {
 ///
 /// Works on any [`SideGraph`]; BUP runs it on the full graph.
 pub fn peel_all(view: SideGraph<'_>, init_support: &[u64], heap_arity: usize) -> (Vec<u64>, u64) {
-    let heap = IndexedMinHeap::new(heap_arity, init_support);
-    peel_all_with_queue(view, init_support.len(), heap)
-}
-
-/// [`peel_all`] parameterized by the priority queue — the §5.1 ablation
-/// (k-way indexed heap vs Fibonacci heap vs bucketing). Any
-/// [`DecreaseKeyQueue`] pre-loaded with the initial supports works.
-pub fn peel_all_with_queue<Q: DecreaseKeyQueue>(
-    view: SideGraph<'_>,
-    n: usize,
-    mut queue: Q,
-) -> (Vec<u64>, u64) {
+    let n = init_support.len();
     debug_assert_eq!(n, view.num_primary());
+    let mut heap = IndexedMinHeap::new(heap_arity, init_support);
     let mut tip = vec![0u64; n];
     let mut cnt = vec![0u32; n];
     let mut touched: Vec<VertexId> = Vec::new();
     let mut wedges = 0u64;
 
-    while let Some((u, theta)) = queue.pop_min() {
+    while let Some((u, theta)) = heap.pop_min() {
         tip[u as usize] = theta;
         for &v in view.neighbors_primary(u) {
             for &u2 in view.neighbors_secondary(v) {
@@ -67,7 +57,7 @@ pub fn peel_all_with_queue<Q: DecreaseKeyQueue>(
         for &u2 in &touched {
             let c = cnt[u2 as usize] as u64;
             cnt[u2 as usize] = 0;
-            decrement_shared(&mut queue, u2, c, theta);
+            decrement_shared(&mut heap, u2, c, theta);
         }
         touched.clear();
     }
@@ -78,10 +68,10 @@ pub fn peel_all_with_queue<Q: DecreaseKeyQueue>(
 /// butterflies, with the vertex just peeled at `theta`; lower its support
 /// by that many, never below `theta`. No-op once `u2` is peeled.
 #[inline]
-fn decrement_shared<Q: DecreaseKeyQueue>(queue: &mut Q, u2: VertexId, c: u64, theta: u64) {
+fn decrement_shared(heap: &mut IndexedMinHeap, u2: VertexId, c: u64, theta: u64) {
     if c >= 2 {
-        if let Some(cur) = queue.key(u2) {
-            queue.decrease_key(u2, cur.saturating_sub(c * (c - 1) / 2).max(theta));
+        if let Some(cur) = heap.key(u2) {
+            heap.decrease_key(u2, cur.saturating_sub(c * (c - 1) / 2).max(theta));
         }
     }
 }
@@ -260,22 +250,6 @@ mod tests {
         let counts = butterfly::count_graph(&g);
         let (_, actual) = peel_all(view, &counts.u, 4);
         assert_eq!(predicted, actual);
-    }
-
-    #[test]
-    fn fibonacci_queue_peels_identically() {
-        // The §5.1 ablation: the queue implementation must not affect the
-        // computed tip numbers or the wedge workload.
-        for seed in 0..4 {
-            let g = gen::zipf(60, 35, 350, 0.5, 0.9, seed);
-            let counts = butterfly::count_graph(&g);
-            let view = g.view(Side::U);
-            let (heap_tips, heap_wedges) = peel_all(view, &counts.u, 4);
-            let fib = crate::fibheap::FibonacciHeap::new(&counts.u);
-            let (fib_tips, fib_wedges) = peel_all_with_queue(view, counts.u.len(), fib);
-            assert_eq!(heap_tips, fib_tips, "seed {seed}");
-            assert_eq!(heap_wedges, fib_wedges);
-        }
     }
 
     #[test]

@@ -8,13 +8,17 @@
 //! what collapses the synchronization count ρ from millions to ~1000
 //! (Table 3).
 //!
-//! The per-subset bookkeeping — the ⋈init snapshot, findHi's range
-//! determination and the first active set — reads only the vertices still
-//! live: CD keeps them in an ascending list, pruned of the peeled ones
-//! once at the top of every subset, so the list shrinks as CD advances.
+//! Algorithm 3's outer loop, `coarse_ranges`, exists once and serves
+//! both tip CD and wing CD (`crate::wing_parallel`, §7); each supplies only
+//! its `PeelRound`. The loop's per-subset bookkeeping — the ⋈init
+//! snapshot, findHi's range determination with its adaptive target, and
+//! the first active set — reads only the elements still live: it keeps
+//! them in an ascending list, pruned of the peeled ones once at the top of
+//! every subset, so the list shrinks as CD advances. Elements left after
+//! `P` subsets form the extra `P+1`-th subset.
 //!
-//! Also implements the two workload optimizations of §4, each governed by
-//! its [`Config`] toggle:
+//! Tip CD's round also implements the two workload optimizations of §4,
+//! each governed by its [`Config`] toggle:
 //! * **HUC** — when peeling the active set would traverse more wedges than
 //!   re-counting from scratch, re-count;
 //! * **DGM** — every round drops its peeled vertices from the live lists it
@@ -62,119 +66,144 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
     let t_cd = Instant::now();
     let view = g.view(side);
     let n = view.num_primary();
-    let p_target = config.effective_partitions();
-
     let support = SupportVec::from_counts(counts.side(side));
     // Static per-vertex wedge counts in G: the proxy findHi balances on.
     let w = bigraph::stats::wedges_per_primary(view);
-    let mut remaining_wedges: u64 = w.iter().sum();
-    // HUC's re-count cost, of the graph as counted: the live graph only
-    // shrinks, so it stays an upper bound — a conservative test.
-    let c_rcnt = bigraph::stats::recount_cost(view);
-    let mut pg = PeelGraph::new(side, ranked, config.dgm);
+    let mut round = TipRound {
+        side,
+        pg: PeelGraph::new(side, ranked, config.dgm),
+        huc: config.huc,
+        // HUC's re-count cost, of the graph as counted: the live graph
+        // only shrinks, so it stays an upper bound — a conservative test.
+        c_rcnt: bigraph::stats::recount_cost(view),
+        scratch_pool: ScratchPool::new(move || PeelScratch::new(n)),
+        wedges: 0,
+        recounts: 0,
+    };
+    let ranges = coarse_ranges(&mut round, &support, &w, config.effective_partitions());
+
+    let metrics = Metrics {
+        wedges_count: counts.wedges_traversed,
+        wedges_cd: round.wedges,
+        sync_rounds: ranges.rounds,
+        recounts: round.recounts,
+        partitions_used: ranges.subsets.len(),
+        time_count,
+        time_cd: t_cd.elapsed(),
+        ..Default::default()
+    };
+
+    CoarseResult {
+        side,
+        bounds: ranges.bounds,
+        subsets: ranges.subsets,
+        init_support: ranges.init_support,
+        metrics,
+    }
+}
+
+/// One synchronization round of a coarse decomposition: the only part of
+/// Algorithm 3 that tip CD and wing CD do differently. Elements are dense
+/// `u32` ids: vertices for tip CD, edge ids for wing CD.
+pub(crate) trait PeelRound {
+    /// Whether element `x` is still unpeeled.
+    fn is_alive(&self, x: u32) -> bool;
+
+    /// Peels `active` — live elements with support in `[theta_lo, hi)` —
+    /// and lowers the supports of the live elements that lose butterflies
+    /// with them, never below `theta_lo`. Returns the candidates for the
+    /// next active set: the elements whose support it lowered, repeats
+    /// allowed, in any order. `live` holds every live element, ascending;
+    /// it may still hold elements peeled in this subset.
+    fn peel_round(
+        &mut self,
+        active: &[u32],
+        live: &[u32],
+        support: &SupportVec,
+        theta_lo: u64,
+        hi: u64,
+    ) -> Vec<u32>;
+}
+
+/// What [`coarse_ranges`] decides: the subsets, their range bounds, ⋈init
+/// and the number of peel rounds ρ.
+pub(crate) struct Ranges {
+    /// `bounds[i]..bounds[i + 1]` is subset `i`'s range; `u64::MAX` closes
+    /// the extra `P+1`-th subset.
+    pub(crate) bounds: Vec<u64>,
+    /// The subsets, each in peel order.
+    pub(crate) subsets: Vec<Vec<u32>>,
+    /// Each element's support when its subset opened.
+    pub(crate) init_support: Vec<u64>,
+    pub(crate) rounds: u64,
+}
+
+/// Algorithm 3's outer loop over `partitions` subsets. `support` holds
+/// every element's initial support, `work[x]` the work proxy findHi
+/// balances on. Each subset snapshots ⋈init for the live elements, picks
+/// its bound `hi` with [`find_hi`] against an adaptive target (§3.1.1),
+/// then runs `peel`'s rounds until no live element's support is below
+/// `hi`. Elements still live after the last subset form one extra subset.
+pub(crate) fn coarse_ranges(
+    peel: &mut impl PeelRound,
+    support: &SupportVec,
+    work: &[u64],
+    partitions: usize,
+) -> Ranges {
+    let n = work.len();
+    let mut remaining_work: u64 = work.iter().sum();
     let mut init_support = vec![0u64; n];
-    let mut subsets: Vec<Vec<VertexId>> = Vec::new();
+    let mut subsets: Vec<Vec<u32>> = Vec::new();
     let mut bounds: Vec<u64> = vec![0];
     let mut scale = 1.0f64;
-    // The live primaries, ascending. Pruned at the top of each subset, so
-    // during a subset it may still hold vertices that subset peeled.
-    let mut live: Vec<VertexId> = (0..n as VertexId).collect();
-    // findHi's `(support, wedges)` pairs, one per live vertex.
+    // The live elements, ascending. Pruned at the top of each subset, so
+    // during a subset it may still hold elements that subset peeled.
+    let mut live: Vec<u32> = (0..n as u32).collect();
+    let mut left = n;
+    // findHi's `(support, work)` pairs, one per live element.
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(n);
-
-    let mut wedges_cd = 0u64;
-    let mut rounds = 0u64;
-    let mut recounts = 0u64;
-    let scratch_pool = ScratchPool::new(move || PeelScratch::new(n));
     let mut queued = vec![false; n];
+    let mut rounds = 0u64;
 
-    for i in 0..p_target {
-        if pg.live_count() == 0 {
+    for i in 0..partitions {
+        if left == 0 {
             break;
         }
         let theta_lo = *bounds.last().expect("bounds starts non-empty");
 
-        // ⋈init snapshot for every still-alive vertex (lines 6–7).
-        live.retain(|&u| pg.is_alive(u));
+        // ⋈init snapshot for every still-alive element (lines 6–7).
+        live.retain(|&x| peel.is_alive(x));
         pairs.clear();
-        for &u in &live {
-            let s = support.get(u);
-            init_support[u as usize] = s;
-            pairs.push((s, w[u as usize]));
+        for &x in &live {
+            let s = support.get(x);
+            init_support[x as usize] = s;
+            pairs.push((s, work[x as usize]));
         }
 
         // ---- Adaptive range determination (§3.1.1) ----
-        let parts_left = (p_target - i) as u64;
-        let base_tgt = remaining_wedges.div_ceil(parts_left).max(1);
+        let parts_left = (partitions - i) as u64;
+        let base_tgt = remaining_work.div_ceil(parts_left).max(1);
         let tgt = ((base_tgt as f64) * scale).round().max(1.0) as u64;
         let hi = find_hi(&mut pairs, tgt, theta_lo);
         debug_assert!(hi > theta_lo);
 
         // ---- Peel the range [theta_lo, hi) to exhaustion ----
-        let mut active = below(&live, &pg, &support, hi);
-        let mut subset: Vec<VertexId> = Vec::new();
+        let mut active = below(&live, |x| peel.is_alive(x), support, hi);
+        let mut subset: Vec<u32> = Vec::new();
         while !active.is_empty() {
             rounds += 1;
-            pg.kill_batch(&active);
+            left -= active.len();
             subset.extend_from_slice(&active);
-
-            let c_peel: u64 = active.iter().map(|&u| pg.peel_cost(u)).sum();
-            let use_recount = config.huc && pg.live_count() > 0 && c_peel > c_rcnt;
-
-            if use_recount {
-                // HUC (§4.1): re-count butterflies of the live subgraph
-                // instead of propagating the active set's updates. The
-                // PeelGraph keeps the graph as counted, rank-sorted, so the
-                // re-count needs no re-ranking.
-                recounts += 1;
-                let rc = pg.recount_live();
-                wedges_cd += rc.wedges_traversed;
-                let fresh = rc.side(side);
-                for &u in &live {
-                    if pg.is_alive(u) {
-                        support.set(u, fresh[u as usize].max(theta_lo));
-                    }
-                }
-                active = below(&live, &pg, &support, hi);
-            } else {
-                // Ordinary peel iteration (lines 12–13), parallel over the
-                // active set; each task checks scratch out once.
-                let (candidates, iter_wedges) = active
-                    .par_iter()
-                    .fold(
-                        || (Vec::new(), 0u64, scratch_pool.acquire()),
-                        |(mut acc, wedges, mut scratch), &u| {
-                            let wc = peel_vertex(
-                                &pg,
-                                u,
-                                theta_lo,
-                                &support,
-                                pg.alive_flags(),
-                                &mut scratch,
-                                |u2| acc.push(u2),
-                            );
-                            (acc, wedges + wc, scratch)
-                        },
-                    )
-                    .map(|(acc, wedges, _)| (acc, wedges))
-                    .reduce(
-                        || (Vec::new(), 0),
-                        |(mut a, wa), (mut b, wb)| {
-                            a.append(&mut b);
-                            (a, wa + wb)
-                        },
-                    );
-                wedges_cd += iter_wedges;
-                active = dedup_next_active(candidates, &pg, &support, hi, &mut queued);
-            }
+            let candidates = peel.peel_round(&active, &live, support, theta_lo, hi);
+            active = dedup_next_active(candidates, |x| peel.is_alive(x), support, hi, &mut queued);
         }
 
         // Adaptive targets: shrink future targets when this subset
-        // overshot its wedge budget (predictive local behaviour).
-        let subset_w: u64 = subset.iter().map(|&u| w[u as usize]).sum();
-        remaining_wedges = remaining_wedges.saturating_sub(subset_w);
-        scale = if subset_w > 0 {
-            (tgt as f64 / subset_w as f64).min(1.0)
+        // overshot its work budget (predictive local behaviour).
+        let subset_work: u64 = subset.iter().map(|&x| work[x as usize]).sum();
+        remaining_work = remaining_work.saturating_sub(subset_work);
+        scale = if subset_work > 0 {
+            (tgt as f64 / subset_work as f64).min(1.0)
         } else {
             1.0
         };
@@ -184,37 +213,100 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
     }
 
     // Leftovers after P subsets form a single extra subset (§3.1.1).
-    if pg.live_count() > 0 {
-        live.retain(|&u| pg.is_alive(u));
-        for &u in &live {
-            init_support[u as usize] = support.get(u);
+    if left > 0 {
+        live.retain(|&x| peel.is_alive(x));
+        for &x in &live {
+            init_support[x as usize] = support.get(x);
         }
         subsets.push(live);
         bounds.push(u64::MAX);
     }
 
-    let metrics = Metrics {
-        wedges_count: counts.wedges_traversed,
-        wedges_cd,
-        sync_rounds: rounds,
-        recounts,
-        partitions_used: subsets.len(),
-        time_count,
-        time_cd: t_cd.elapsed(),
-        ..Default::default()
-    };
-
-    CoarseResult {
-        side,
+    Ranges {
         bounds,
         subsets,
         init_support,
-        metrics,
+        rounds,
+    }
+}
+
+/// Tip CD's round: one parallel [`peel_vertex`] pass over the active set
+/// (lines 12–13), or HUC's re-count of the live subgraph.
+struct TipRound {
+    side: Side,
+    pg: PeelGraph,
+    huc: bool,
+    c_rcnt: u64,
+    scratch_pool: ScratchPool<PeelScratch>,
+    wedges: u64,
+    recounts: u64,
+}
+
+impl PeelRound for TipRound {
+    fn is_alive(&self, u: VertexId) -> bool {
+        self.pg.is_alive(u)
+    }
+
+    fn peel_round(
+        &mut self,
+        active: &[VertexId],
+        live: &[VertexId],
+        support: &SupportVec,
+        theta_lo: u64,
+        hi: u64,
+    ) -> Vec<VertexId> {
+        self.pg.kill_batch(active);
+        let pg = &self.pg;
+        let c_peel: u64 = active.iter().map(|&u| pg.peel_cost(u)).sum();
+        if self.huc && pg.live_count() > 0 && c_peel > self.c_rcnt {
+            // HUC (§4.1): re-count butterflies of the live subgraph
+            // instead of propagating the active set's updates. The
+            // PeelGraph keeps the graph as counted, rank-sorted, so the
+            // re-count needs no re-ranking.
+            self.recounts += 1;
+            let rc = pg.recount_live();
+            self.wedges += rc.wedges_traversed;
+            let fresh = rc.side(self.side);
+            for &u in live {
+                if pg.is_alive(u) {
+                    support.set(u, fresh[u as usize].max(theta_lo));
+                }
+            }
+            return below(live, |u| pg.is_alive(u), support, hi);
+        }
+        // Parallel over the active set; each task checks scratch out once.
+        let (candidates, wedges) = active
+            .par_iter()
+            .fold(
+                || (Vec::new(), 0u64, self.scratch_pool.acquire()),
+                |(mut acc, wedges, mut scratch), &u| {
+                    let wc = peel_vertex(
+                        pg,
+                        u,
+                        theta_lo,
+                        support,
+                        pg.alive_flags(),
+                        &mut scratch,
+                        |u2| acc.push(u2),
+                    );
+                    (acc, wedges + wc, scratch)
+                },
+            )
+            .map(|(acc, wedges, _)| (acc, wedges))
+            .reduce(
+                || (Vec::new(), 0),
+                |(mut a, wa), (mut b, wb)| {
+                    a.append(&mut b);
+                    (a, wa + wb)
+                },
+            );
+        self.wedges += wedges;
+        candidates
     }
 }
 
 /// `findHi` (Algorithm 3 lines 16–21) over `(support, wedges)` pairs, one
-/// per live vertex: the smallest support `θ` such that the pairs with
+/// per live element: the smallest support `θ` such that the pairs with
 /// support ≤ `θ` jointly own at least `tgt` wedges; returns `θ + 1` as the
 /// exclusive range bound. When the pairs own fewer than `tgt` wedges, the
 /// bound sweeps everything left in (largest support + 1); with no pairs it
@@ -277,34 +369,34 @@ fn partition3(v: &mut [(u64, u64)], pivot: u64) -> (usize, usize, u64, u64) {
     (lt, gt, w_lt, w_eq)
 }
 
-/// The vertices of `live` still alive with support strictly below `hi`, in
+/// The elements of `live` still alive with support strictly below `hi`, in
 /// `live`'s ascending order.
-fn below(live: &[VertexId], pg: &PeelGraph, support: &SupportVec, hi: u64) -> Vec<VertexId> {
+fn below(live: &[u32], is_alive: impl Fn(u32) -> bool, support: &SupportVec, hi: u64) -> Vec<u32> {
     live.iter()
         .copied()
-        .filter(|&u| pg.is_alive(u) && support.get(u) < hi)
+        .filter(|&x| is_alive(x) && support.get(x) < hi)
         .collect()
 }
 
 /// Builds the next active set from update candidates: alive, below the
-/// bound, each vertex once, deterministic ascending order.
+/// bound, each element once, deterministic ascending order.
 fn dedup_next_active(
-    candidates: Vec<VertexId>,
-    pg: &PeelGraph,
+    candidates: Vec<u32>,
+    is_alive: impl Fn(u32) -> bool,
     support: &SupportVec,
     hi: u64,
     queued: &mut [bool],
-) -> Vec<VertexId> {
+) -> Vec<u32> {
     let mut out = Vec::new();
-    for u in candidates {
-        let q = &mut queued[u as usize];
-        if !*q && pg.is_alive(u) && support.get(u) < hi {
+    for x in candidates {
+        let q = &mut queued[x as usize];
+        if !*q && is_alive(x) && support.get(x) < hi {
             *q = true;
-            out.push(u);
+            out.push(x);
         }
     }
-    for &u in &out {
-        queued[u as usize] = false;
+    for &x in &out {
+        queued[x as usize] = false;
     }
     out.sort_unstable();
     out

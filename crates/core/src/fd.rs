@@ -3,10 +3,14 @@
 //! Each coarse subset `U_i` is peeled *independently*: a worker induces the
 //! subgraph `G_i = G[U_i ∪ V]`, initializes supports from the `⋈init`
 //! snapshot, and runs sequential bottom-up peeling with a k-way min-heap.
-//! Workers pull subset ids from a shared queue (dynamic allocation) that is
-//! pre-sorted by descending induced-wedge count (workload-aware scheduling,
-//! §3.2.1 — the LPT heuristic of Figure 3). The only synchronization is the
-//! final join: FD contributes zero peeling rounds to ρ.
+//! The only synchronization is the final join: FD contributes zero peeling
+//! rounds to ρ.
+//!
+//! The scheduler, `schedule_subsets`, exists once and also runs wing FD
+//! (`crate::wing_parallel`, §7): workers pull subset ids from one shared
+//! counter (dynamic allocation) over an order pre-sorted by descending
+//! weight — here each subset's induced-wedge count (workload-aware
+//! scheduling, §3.2.1 — the LPT heuristic of Figure 3).
 //!
 //! The per-subset peel is [`crate::bup::peel_live`]. It drops each peeled
 //! vertex from the subgraph's adjacency as it goes, which is the paper's
@@ -33,23 +37,55 @@ pub fn fine_decompose(
     let n = view.num_primary();
     let CoarseResult {
         side,
-        bounds: _bounds,
         subsets,
         init_support,
         mut metrics,
+        ..
     } = coarse;
 
-    // Workload-aware scheduling: order subsets by descending induced-wedge
-    // estimate so the heaviest tasks start first.
     let weights = induced_wedge_estimates(view, &subsets);
-    let mut order: Vec<usize> = (0..subsets.len()).collect();
-    order.sort_unstable_by(|&a, &b| weights[b].cmp(&weights[a]).then(a.cmp(&b)));
+    let (results, wedges_fd) = schedule_subsets(&weights, config.effective_threads(), |i, out| {
+        let subset = &subsets[i];
+        let induced = InducedGraph::new(view, subset);
+        let sup: Vec<u64> = subset.iter().map(|&u| init_support[u as usize]).collect();
+        let (tips_local, wedges) = peel_live(induced.view(), &sup, config.heap_arity);
+        for (local_id, &theta) in tips_local.iter().enumerate() {
+            out.push((induced.primary_global(local_id as VertexId), theta));
+        }
+        wedges
+    });
 
-    let threads = config.effective_threads().max(1).min(subsets.len().max(1));
+    let mut tip = vec![0u64; n];
+    let mut assigned = vec![false; n];
+    for (u, theta) in results.into_iter().flatten() {
+        debug_assert!(!assigned[u as usize], "vertex {u} peeled twice");
+        assigned[u as usize] = true;
+        tip[u as usize] = theta;
+    }
+    debug_assert!(assigned.iter().all(|&a| a), "every vertex must be peeled");
+
+    metrics.wedges_fd = wedges_fd;
+    metrics.time_fd = t0.elapsed();
+
+    TipDecomposition { side, tip, metrics }
+}
+
+/// Runs `task(i, out)` once for every subset `i`, heaviest `weights[i]`
+/// first, ties by index, on `threads.min(weights.len())` workers that pull
+/// subset ids from one counter. A task pushes its results to `out`, the
+/// worker's own buffer, and returns its work; each worker hands its
+/// buffer over once. Returns the workers' buffers, in no set order, and
+/// the summed work.
+pub(crate) fn schedule_subsets<T: Send>(
+    weights: &[u64],
+    threads: usize,
+    task: impl Fn(usize, &mut Vec<T>) -> u64 + Sync,
+) -> (Vec<Vec<T>>, u64) {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_unstable_by(|&a, &b| weights[b].cmp(&weights[a]).then(a.cmp(&b)));
     let next = AtomicUsize::new(0);
-    let wedges_fd = AtomicU64::new(0);
-    let results: Mutex<Vec<(VertexId, u64)>> = Mutex::new(Vec::with_capacity(n));
-    let arity = config.heap_arity;
+    let work = AtomicU64::new(0);
+    let results: Mutex<Vec<Vec<T>>> = Mutex::new(Vec::new());
 
     // rayon::scope (not std::thread::scope) for two reasons: the workers
     // run as pool jobs — reused threads, no per-call spawning — and they
@@ -63,46 +99,19 @@ pub fn fine_decompose(
     // own deque and idle workers steal them, which is what rebalances the
     // skewed per-subset workloads the coarse ordering can't predict.
     rayon::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..threads.min(order.len()) {
             scope.spawn(|_| {
-                let mut local: Vec<(VertexId, u64)> = Vec::new();
-                let mut local_wedges = 0u64;
-                loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= order.len() {
-                        break;
-                    }
-                    let subset = &subsets[order[slot]];
-                    if subset.is_empty() {
-                        continue;
-                    }
-                    let induced = InducedGraph::new(view, subset);
-                    let sup: Vec<u64> = subset.iter().map(|&u| init_support[u as usize]).collect();
-                    let (tips_local, wedges) = peel_live(induced.view(), &sup, arity);
-                    local_wedges += wedges;
-                    for (local_id, &theta) in tips_local.iter().enumerate() {
-                        local.push((induced.primary_global(local_id as VertexId), theta));
-                    }
+                let mut local: Vec<T> = Vec::new();
+                let mut local_work = 0u64;
+                while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    local_work += task(i, &mut local);
                 }
-                wedges_fd.fetch_add(local_wedges, Ordering::Relaxed);
-                results.lock().append(&mut local);
+                work.fetch_add(local_work, Ordering::Relaxed);
+                results.lock().push(local);
             });
         }
     });
-
-    let mut tip = vec![0u64; n];
-    let mut assigned = vec![false; n];
-    for (u, theta) in results.into_inner() {
-        debug_assert!(!assigned[u as usize], "vertex {u} peeled twice");
-        assigned[u as usize] = true;
-        tip[u as usize] = theta;
-    }
-    debug_assert!(assigned.iter().all(|&a| a), "every vertex must be peeled");
-
-    metrics.wedges_fd = wedges_fd.into_inner();
-    metrics.time_fd = t0.elapsed();
-
-    TipDecomposition { side, tip, metrics }
+    (results.into_inner(), work.into_inner())
 }
 
 /// Estimated wedges inside each induced subgraph: `Σ_s d_s(d_s − 1)` where
@@ -160,6 +169,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn scheduler_dispatches_heaviest_first_at_one_thread() {
+        let weights = [3u64, 9, 3, 0, 9, 1];
+        let (order, work) = parutil::with_pool(1, || {
+            schedule_subsets(&weights, 1, |i, out| {
+                out.push(i);
+                weights[i]
+            })
+        });
+        assert_eq!(order, vec![vec![1, 4, 0, 2, 5, 3]]);
+        assert_eq!(work, 25);
+    }
+
+    #[test]
+    fn scheduler_runs_every_subset_once_and_collects_every_worker() {
+        let weights: Vec<u64> = (0..40).map(|i| (i * 7 % 11) as u64).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            let runs: Vec<AtomicUsize> = weights.iter().map(|_| AtomicUsize::new(0)).collect();
+            let (buffers, work) = parutil::with_pool(4, || {
+                schedule_subsets(&weights, threads, |i, out| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    out.extend([2 * i, 2 * i + 1]);
+                    1
+                })
+            });
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "{threads} threads"
+            );
+            assert!(buffers.len() <= threads, "{threads} threads");
+            let mut out = buffers.concat();
+            out.sort_unstable();
+            assert_eq!(
+                out,
+                (0..2 * weights.len()).collect::<Vec<_>>(),
+                "{threads} threads"
+            );
+            assert_eq!(work, weights.len() as u64);
+        }
+        let (none, work) = schedule_subsets::<u32>(&[], 4, |_, _| unreachable!());
+        assert!(none.is_empty());
+        assert_eq!(work, 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Bottom-up peeling repeatedly extracts the minimum-support vertex and
 //! decreases the supports of its 2-hop neighbours. The paper found a k-way
 //! min-heap faster in practice than both the bucketing structure of
-//! Sariyüce et al. and Fibonacci heaps (§5.1), so this is the structure
-//! used by sequential BUP and by each fine-grained-decomposition worker.
+//! Sariyüce et al. and Fibonacci heaps (§5.1), so this is the one
+//! priority queue of every sequential peel: BUP, each fine-grained
+//! decomposition worker, the dynamic re-peel, and wing peeling.
 
 /// Min-heap over dense ids `0..n` with `u64` keys and a position index for
 /// O(log_d n) `decrease_key`. Ties are broken by id (deterministic peel

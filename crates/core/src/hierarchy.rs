@@ -13,19 +13,22 @@
 
 use bigraph::{SideGraph, VertexId};
 
-/// Disjoint-set forest over dense ids.
+/// Disjoint-set forest over dense ids, with path compression; a union
+/// hangs the larger root under the smaller, so every root is its
+/// component's smallest id. Also groups edges into k-wings
+/// ([`crate::wing::kwing_components`]).
 #[derive(Debug)]
-struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnionFind {
             parent: (0..n as u32).collect(),
         }
     }
-    fn find(&mut self, x: u32) -> u32 {
+    pub(crate) fn find(&mut self, x: u32) -> u32 {
         let mut root = x;
         while self.parent[root as usize] != root {
             root = self.parent[root as usize];
@@ -38,7 +41,7 @@ impl UnionFind {
         }
         root
     }
-    fn union(&mut self, a: u32, b: u32) {
+    pub(crate) fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra.max(rb) as usize] = ra.min(rb);

@@ -16,7 +16,9 @@
 //!   DGM keeps live adjacency lists that drop every peeled vertex, which
 //!   FD and the dynamic path get from [`bup::peel_live`] too;
 //! * [`hierarchy`] — k-tip extraction/verification on top of tip numbers;
-//! * [`wing`] — the §7 extension to wing (edge) decomposition;
+//! * [`wing`] / [`wing_parallel`] — the §7 extension to wing (edge)
+//!   decomposition: sequential edge peeling, and RECEIPT over edges, which
+//!   runs on CD's outer loop and FD's scheduler;
 //! * [`dynamic`] — incremental tip maintenance over batched edge updates
 //!   (the `tipdecomp stream` workload);
 //! * [`engine`] — the epoch-snapshot [`engine::StreamEngine`] owning the
@@ -52,13 +54,11 @@ pub mod config;
 pub mod dynamic;
 pub mod engine;
 pub mod fd;
-pub mod fibheap;
 pub mod heap;
 pub mod hierarchy;
 pub mod metrics;
 pub mod parb;
 pub mod peel;
-pub mod queue;
 pub mod report;
 pub mod snapshot;
 pub mod support;

@@ -26,8 +26,7 @@ pub const PARB_OPEN_BUCKETS: usize = 128;
 const SEQ_BATCH_CUTOFF: usize = 16;
 
 /// Parallel bottom-up tip decomposition of `side`.
-pub fn parb_decompose(g: &BipartiteCsr, side: Side, heap_arity_unused: usize) -> BaselineResult {
-    let _ = heap_arity_unused; // ParB uses buckets, not heaps; kept for API symmetry.
+pub fn parb_decompose(g: &BipartiteCsr, side: Side) -> BaselineResult {
     let t0 = Instant::now();
     let ranked = bigraph::RankedGraph::from_csr(g);
     let counts = butterfly::parallel::par_vertex_priority_counts(&ranked);
@@ -146,7 +145,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let r = parb_decompose(&g, Side::U, 4);
+        let r = parb_decompose(&g, Side::U);
         assert_eq!(r.tip, vec![2, 3, 3, 1]);
     }
 
@@ -156,7 +155,7 @@ mod tests {
             let g = gen::zipf(80, 50, 500, 0.5, 0.9, seed);
             for side in [Side::U, Side::V] {
                 let bup = bup_decompose(&g, side, 4);
-                let parb = parb_decompose(&g, side, 4);
+                let parb = parb_decompose(&g, side);
                 assert_eq!(bup.tip, parb.tip, "seed {seed} side {side}");
                 assert_eq!(
                     bup.wedges_peel, parb.wedges_peel,
@@ -169,7 +168,7 @@ mod tests {
     #[test]
     fn rounds_at_most_distinct_peel_values_and_at_most_n() {
         let g = gen::uniform(60, 60, 500, 3);
-        let r = parb_decompose(&g, Side::U, 4);
+        let r = parb_decompose(&g, Side::U);
         assert!(r.rounds <= 60);
         assert!(r.rounds >= 1);
         // At least as many rounds as distinct tip values (each round peels
@@ -183,8 +182,8 @@ mod tests {
     #[test]
     fn deterministic_across_pool_sizes() {
         let g = gen::zipf(70, 40, 400, 0.4, 0.8, 12);
-        let a = parutil::with_pool(1, || parb_decompose(&g, Side::U, 4));
-        let b = parutil::with_pool(3, || parb_decompose(&g, Side::U, 4));
+        let a = parutil::with_pool(1, || parb_decompose(&g, Side::U));
+        let b = parutil::with_pool(3, || parb_decompose(&g, Side::U));
         assert_eq!(a.tip, b.tip);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.wedges_peel, b.wedges_peel);
@@ -193,12 +192,12 @@ mod tests {
     #[test]
     fn empty_and_star_graphs() {
         let g = BipartiteCsr::empty(4, 2);
-        let r = parb_decompose(&g, Side::U, 4);
+        let r = parb_decompose(&g, Side::U);
         assert_eq!(r.tip, vec![0; 4]);
         assert_eq!(r.rounds, 1, "all zeros peel in one round");
 
         let star = from_edges(5, 1, &[(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]).unwrap();
-        let r = parb_decompose(&star, Side::U, 4);
+        let r = parb_decompose(&star, Side::U);
         assert_eq!(r.tip, vec![0; 5]);
     }
 }

@@ -5,7 +5,6 @@
 //! at the current range floor `θ(i)`.
 
 use parutil::saturating_sub_floor;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Dense `u64` support values with atomic floor-clamped decrement.
@@ -53,13 +52,6 @@ impl SupportVec {
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Parallel iteration over `(id, value)` pairs.
-    pub fn par_for_each(&self, f: impl Fn(u32, u64) + Sync) {
-        self.cells.par_iter().enumerate().for_each(|(i, c)| {
-            f(i as u32, c.load(Ordering::Relaxed));
-        });
-    }
 }
 
 #[cfg(test)]
@@ -84,16 +76,6 @@ mod tests {
         assert_eq!(s.get(0), 7);
         s.decrement(0, 100, 4);
         assert_eq!(s.get(0), 4);
-    }
-
-    #[test]
-    fn par_for_each_visits_all() {
-        let s = SupportVec::from_counts(&[1, 2, 3, 4]);
-        let sum = std::sync::atomic::AtomicU64::new(0);
-        s.par_for_each(|_, v| {
-            sum.fetch_add(v, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 10);
     }
 
     #[test]

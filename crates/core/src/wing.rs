@@ -5,13 +5,16 @@
 //! edge is the largest `k` for which a k-wing contains it. This module
 //! implements bottom-up edge peeling (Sariyüce–Pinar style) on top of the
 //! per-edge counting of [`butterfly::per_edge`], with the same
-//! clamped-minimum semantics as vertex peeling. The paper notes the RECEIPT
-//! range machinery carries over to edges with one extra care point —
-//! several edges of one butterfly can be peeled in the same iteration — so
-//! the sequential peel here checks liveness of all three partner edges per
-//! butterfly.
+//! clamped-minimum semantics as vertex peeling.
+//!
+//! Edges are named by their id, [`SideGraph::edge_index`]. Every wing peel
+//! — the sequential one here, [`kwing_components`], and RECEIPT's coarse
+//! and fine phases in [`crate::wing_parallel`] — reaches the butterflies
+//! through an edge by one merge walk, `walk_butterflies`; each says only
+//! which partner edges count as live and what a butterfly does to them.
 
 use crate::heap::IndexedMinHeap;
+use crate::hierarchy::UnionFind;
 use bigraph::{SideGraph, VertexId};
 
 /// Result of a wing decomposition.
@@ -38,26 +41,61 @@ impl WingDecomposition {
     }
 }
 
-/// Edge-id lookup table over the primary CSR layout.
-pub(crate) struct EdgeIndex {
-    offsets: Vec<usize>,
+/// Walks the butterflies `(u, v, u2, v2)` through edge `(u, v)`. For each
+/// `v2 ∈ N(u)` other than `v` whose edge `e2 = (u, v2)` passes
+/// `keep(cx, v2, e2)`, merges `N(v) ∩ N(v2)` and hands each `u2 ≠ u` in it
+/// to `visit` as `(u2, e2, e3, e4)`, with `e3 = (u2, v)` and
+/// `e4 = (u2, v2)`. `cx` is the state both closures share: `keep` reads
+/// it, `visit` may change it. Returns the merge steps, which every wing
+/// peel reports as its work.
+pub(crate) fn walk_butterflies<C>(
+    view: SideGraph<'_>,
+    (u, v): (VertexId, VertexId),
+    cx: &mut C,
+    keep: impl Fn(&C, VertexId, u32) -> bool,
+    mut visit: impl FnMut(&mut C, VertexId, u32, u32, u32),
+) -> u64 {
+    let id = |p: VertexId, s: VertexId| {
+        view.edge_index(p, s)
+            .expect("a merge only meets edges of the graph") as u32
+    };
+    let nv = view.neighbors_secondary(v);
+    let mut steps = 0u64;
+    for &v2 in view.neighbors_primary(u) {
+        if v2 == v {
+            continue;
+        }
+        let e2 = id(u, v2);
+        if !keep(cx, v2, e2) {
+            continue;
+        }
+        let nv2 = view.neighbors_secondary(v2);
+        let (mut i, mut j) = (0, 0);
+        while i < nv.len() && j < nv2.len() {
+            steps += 1;
+            match nv[i].cmp(&nv2[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let u2 = nv[i];
+                    i += 1;
+                    j += 1;
+                    if u2 != u {
+                        visit(cx, u2, e2, id(u2, v), id(u2, v2));
+                    }
+                }
+            }
+        }
+    }
+    steps
 }
 
-impl EdgeIndex {
-    pub(crate) fn new(view: SideGraph<'_>) -> Self {
-        let np = view.num_primary();
-        let mut offsets = vec![0usize; np + 1];
-        for p in 0..np {
-            offsets[p + 1] = offsets[p] + view.deg_primary(p as VertexId);
-        }
-        EdgeIndex { offsets }
-    }
-
-    pub(crate) fn id(&self, view: SideGraph<'_>, u: VertexId, v: VertexId) -> Option<usize> {
-        view.neighbors_primary(u)
-            .binary_search(&v)
-            .ok()
-            .map(|pos| self.offsets[u as usize] + pos)
+/// A live butterfly through a peeled edge died: `e` loses one butterfly,
+/// never below the peeled edge's wing number `theta`. No-op once `e` left
+/// the heap.
+pub(crate) fn drop_butterfly(heap: &mut IndexedMinHeap, e: u32, theta: u64) {
+    if let Some(k) = heap.key(e) {
+        heap.decrease_key(e, k.saturating_sub(1).max(theta));
     }
 }
 
@@ -72,65 +110,28 @@ impl EdgeIndex {
 /// ```
 pub fn wing_decompose(view: SideGraph<'_>, heap_arity: usize) -> WingDecomposition {
     let counts = butterfly::per_edge::per_edge_counts(view);
-    let m = counts.len();
-    let index = EdgeIndex::new(view);
-    let edges: Vec<(VertexId, VertexId)> = (0..view.num_primary() as VertexId)
-        .flat_map(|u| view.neighbors_primary(u).iter().map(move |&v| (u, v)))
-        .collect();
-    debug_assert_eq!(edges.len(), m);
-
+    let edges: Vec<(VertexId, VertexId)> = view.edges().collect();
     let mut heap = IndexedMinHeap::new(heap_arity, &counts);
-    let mut wing = vec![0u64; m];
+    let mut wing = vec![0u64; edges.len()];
     let mut work = 0u64;
 
     while let Some((e, theta)) = heap.pop_min() {
         wing[e as usize] = theta;
-        let (u, v) = edges[e as usize];
-        // Enumerate live butterflies (u, v, u2, v2) containing this edge.
-        for &v2 in view.neighbors_primary(u) {
-            if v2 == v {
-                continue;
-            }
-            let Some(e_uv2) = index.id(view, u, v2) else {
-                continue;
-            };
-            if !heap.contains(e_uv2 as u32) {
-                continue; // (u, v2) already peeled: those butterflies died
-            }
-            // u2 ∈ N(v) ∩ N(v2), u2 ≠ u — sorted-merge intersection.
-            let (nv, nv2) = (view.neighbors_secondary(v), view.neighbors_secondary(v2));
-            let (mut i, mut j) = (0, 0);
-            while i < nv.len() && j < nv2.len() {
-                work += 1;
-                match nv[i].cmp(&nv2[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let u2 = nv[i];
-                        i += 1;
-                        j += 1;
-                        if u2 == u {
-                            continue;
-                        }
-                        let (Some(e_u2v), Some(e_u2v2)) =
-                            (index.id(view, u2, v), index.id(view, u2, v2))
-                        else {
-                            continue;
-                        };
-                        let (e3, e4) = (e_u2v as u32, e_u2v2 as u32);
-                        if heap.contains(e3) && heap.contains(e4) {
-                            // One live butterfly dies; its three surviving
-                            // edges lose one butterfly each (clamped).
-                            for other in [e_uv2 as u32, e3, e4] {
-                                if let Some(k) = heap.key(other) {
-                                    heap.decrease_key(other, k.saturating_sub(1).max(theta));
-                                }
-                            }
-                        }
+        // A butterfly is live while all four edges are in the heap; each
+        // live one through `e` dies, and its other three edges lose it.
+        work += walk_butterflies(
+            view,
+            edges[e as usize],
+            &mut heap,
+            |heap, _, e2| heap.contains(e2),
+            |heap, _, e2, e3, e4| {
+                if heap.contains(e3) && heap.contains(e4) {
+                    for f in [e2, e3, e4] {
+                        drop_butterfly(heap, f, theta);
                     }
                 }
-            }
-        }
+            },
+        );
     }
 
     WingDecomposition { edges, wing, work }
@@ -147,79 +148,39 @@ pub fn kwing_components(
     k: u64,
 ) -> Vec<Vec<usize>> {
     let m = decomposition.wing.len();
-    let index = EdgeIndex::new(view);
-    let qualifies = |e: usize| decomposition.wing[e] >= k;
-    // Union-find over edge ids.
-    let mut parent: Vec<u32> = (0..m as u32).collect();
-    fn find(parent: &mut [u32], x: u32) -> u32 {
-        let mut root = x;
-        while parent[root as usize] != root {
-            root = parent[root as usize];
-        }
-        let mut cur = x;
-        while parent[cur as usize] != root {
-            let next = parent[cur as usize];
-            parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
+    let qualifies = |e: u32| decomposition.wing[e as usize] >= k;
+    let mut uf = UnionFind::new(m);
     let mut in_butterfly = vec![false; m];
 
     for (e, &(u, v)) in decomposition.edges.iter().enumerate() {
+        let e = e as u32;
         if !qualifies(e) {
             continue;
         }
-        for &v2 in view.neighbors_primary(u) {
-            if v2 <= v {
-                continue; // enumerate each butterfly once per (v, v2) pair
-            }
-            let Some(e2) = index.id(view, u, v2) else {
-                continue;
-            };
-            if !qualifies(e2) {
-                continue;
-            }
-            let (nv, nv2) = (view.neighbors_secondary(v), view.neighbors_secondary(v2));
-            let (mut i, mut j) = (0, 0);
-            while i < nv.len() && j < nv2.len() {
-                match nv[i].cmp(&nv2[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let u2 = nv[i];
-                        i += 1;
-                        j += 1;
-                        if u2 <= u {
-                            continue; // and once per (u, u2) pair
-                        }
-                        let (Some(e3), Some(e4)) = (index.id(view, u2, v), index.id(view, u2, v2))
-                        else {
-                            continue;
-                        };
-                        if qualifies(e3) && qualifies(e4) {
-                            for &(a, b) in &[(e, e2), (e, e3), (e, e4)] {
-                                let (ra, rb) =
-                                    (find(&mut parent, a as u32), find(&mut parent, b as u32));
-                                if ra != rb {
-                                    parent[ra.max(rb) as usize] = ra.min(rb);
-                                }
-                            }
-                            for &x in &[e, e2, e3, e4] {
-                                in_butterfly[x] = true;
-                            }
-                        }
+        // Each butterfly once: from its edge with the smaller `v` and the
+        // smaller `u`.
+        walk_butterflies(
+            view,
+            (u, v),
+            &mut uf,
+            |_, v2, e2| v2 > v && qualifies(e2),
+            |uf, u2, e2, e3, e4| {
+                if u2 > u && qualifies(e3) && qualifies(e4) {
+                    for f in [e2, e3, e4] {
+                        uf.union(e, f);
+                    }
+                    for x in [e, e2, e3, e4] {
+                        in_butterfly[x as usize] = true;
                     }
                 }
-            }
-        }
+            },
+        );
     }
 
     let mut by_root: std::collections::BTreeMap<u32, Vec<usize>> = Default::default();
     for (e, &in_b) in in_butterfly.iter().enumerate() {
-        if qualifies(e) && (in_b || k == 0) {
-            let r = find(&mut parent, e as u32);
-            by_root.entry(r).or_default().push(e);
+        if qualifies(e as u32) && (in_b || k == 0) {
+            by_root.entry(uf.find(e as u32)).or_default().push(e);
         }
     }
     by_root.into_values().collect()
@@ -228,9 +189,7 @@ pub fn kwing_components(
 /// Reference oracle: recomputes per-edge butterfly counts on the live
 /// subgraph before every single-edge peel. `O(m² · Σd²)` — tests only.
 pub fn naive_wing_decompose(view: SideGraph<'_>) -> WingDecomposition {
-    let edges: Vec<(VertexId, VertexId)> = (0..view.num_primary() as VertexId)
-        .flat_map(|u| view.neighbors_primary(u).iter().map(move |&v| (u, v)))
-        .collect();
+    let edges: Vec<(VertexId, VertexId)> = view.edges().collect();
     let m = edges.len();
     let mut alive = vec![true; m];
     let mut wing = vec![0u64; m];

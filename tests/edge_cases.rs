@@ -76,7 +76,7 @@ fn complete_bipartite_closed_form() {
             .tip
             .iter()
             .all(|&t| t == expected));
-        assert!(parb::parb_decompose(&g, Side::U, 4)
+        assert!(parb::parb_decompose(&g, Side::U)
             .tip
             .iter()
             .all(|&t| t == expected));

@@ -33,7 +33,7 @@ fn parb_matches_bup_both_sides() {
     for (name, g) in graphs() {
         for side in [Side::U, Side::V] {
             let truth = bup::bup_decompose(&g, side, 4);
-            let p = parb::parb_decompose(&g, side, 4);
+            let p = parb::parb_decompose(&g, side);
             assert_eq!(truth.tip, p.tip, "{name} side {side}");
         }
     }
