@@ -14,15 +14,17 @@
 //!   Algorithm 1 of the paper relies on).
 //! * [`induced`] — subgraphs induced on a subset of the primary side
 //!   (RECEIPT FD peels each `G_i = G[U_i ∪ V]` independently).
-//! * [`compact`] — parallel edge compaction used by Dynamic Graph
-//!   Maintenance (§4.2).
+//! * [`compact`] — parallel edge compaction: builds the live subgraph
+//!   from scratch, the oracle that RECEIPT's Dynamic Graph Maintenance
+//!   (§4.2), which drops peeled vertices in place, is tested against.
 //! * [`dynamic`] — batch-dynamic graphs: a delta overlay over the CSR with
 //!   threshold-triggered recompaction, plus the `tipdecomp stream` batch
 //!   file format and seeded insert/delete schedules.
 //! * [`gen`] — seeded synthetic generators (uniform, Zipf configuration
 //!   model, planted bicliques, affiliation model).
 //! * [`datasets`] — six named generator presets standing in for the KONECT
-//!   datasets of the paper's evaluation (see `DESIGN.md` §3).
+//!   datasets of the paper's evaluation (their statistics are the Table 2
+//!   analog in `EXPERIMENTS.md`).
 //! * [`io`] — KONECT-style whitespace edge-list reader/writer.
 //! * [`binfmt`] — the checksummed fixed-width binary graph image
 //!   (`.bgr`) specified in `FORMATS.md` §1.

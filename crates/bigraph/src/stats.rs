@@ -5,31 +5,28 @@
 //! * `w[u] = Σ_{v∈N_u} (d_v − 1)` — wedges with *endpoint* `u` (used by
 //!   `findHi` range determination, Algorithm 3 lines 16–21, and by
 //!   workload-aware FD scheduling);
-//! * `C_peel(S) = Σ_{u∈S} Σ_{v∈N_u} d_v` — traversal cost of peeling `S`
-//!   (Algorithm 2's `update`);
 //! * `C_rcnt = Σ_{(u,v)∈E} min(d_u, d_v)` — the vertex-priority counting
-//!   bound (§2.1), which HUC compares against `C_peel` (§4.1).
+//!   bound (§2.1), which HUC compares against the traversal cost of
+//!   peeling the active set, `C_peel(S) = Σ_{u∈S} Σ_{v∈N_u} d_v` (§4.1).
+//!   `C_peel` reads the lists as the peel sees them, so RECEIPT CD prices
+//!   it on its own peel graph.
 
 use crate::csr::SideGraph;
 use crate::VertexId;
 use rayon::prelude::*;
 
 /// `w[u]` for every primary vertex: the number of wedges with endpoint `u`
-/// (middle vertex on the secondary side).
+/// (middle vertex on the secondary side), counting each 2-hop walk once.
 pub fn wedges_per_primary(view: SideGraph<'_>) -> Vec<u64> {
     (0..view.num_primary() as VertexId)
         .into_par_iter()
-        .map(|p| wedge_endpoint_count(view, p))
+        .map(|p| {
+            view.neighbors_primary(p)
+                .iter()
+                .map(|&s| (view.deg_secondary(s) as u64).saturating_sub(1))
+                .sum()
+        })
         .collect()
-}
-
-/// Wedges with endpoint `p` (counting each 2-hop walk once).
-#[inline]
-pub fn wedge_endpoint_count(view: SideGraph<'_>, p: VertexId) -> u64 {
-    view.neighbors_primary(p)
-        .iter()
-        .map(|&s| (view.deg_secondary(s) as u64).saturating_sub(1))
-        .sum()
 }
 
 /// `∧_U`: total wedges with both endpoints on the primary side. Each wedge
@@ -42,16 +39,6 @@ pub fn total_primary_wedges(view: SideGraph<'_>) -> u64 {
             let d = view.deg_secondary(s) as u64;
             d * d.saturating_sub(1)
         })
-        .sum()
-}
-
-/// Peel-cost of one vertex: `Σ_{v∈N_u} d_v`, the exact number of adjacency
-/// entries the `update()` routine scans when `u` is peeled.
-#[inline]
-pub fn peel_cost(view: SideGraph<'_>, p: VertexId) -> u64 {
-    view.neighbors_primary(p)
-        .iter()
-        .map(|&s| view.deg_secondary(s) as u64)
         .sum()
 }
 
@@ -124,14 +111,6 @@ mod tests {
             let per: u64 = wedges_per_primary(v).iter().sum();
             assert_eq!(per, total_primary_wedges(v));
         }
-    }
-
-    #[test]
-    fn peel_cost_counts_adjacency_scans() {
-        let g = k23();
-        let vu = g.view(Side::U);
-        // Peeling u0 scans N(v) for v in {v0,v1,v2}: 2+2+2 = 6 entries.
-        assert_eq!(peel_cost(vu, 0), 6);
     }
 
     #[test]

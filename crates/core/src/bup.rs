@@ -1,10 +1,11 @@
 //! Sequential Bottom-Up Peeling (Algorithm 2) — the classical tip
 //! decomposition — and [`peel_live`], the same peel with less wedge work,
 //! which fine-grained decomposition and the dynamic path peel with. Both
-//! pop from the k-way [`IndexedMinHeap`], the crate's one priority queue.
+//! pop from the k-way [`IndexedMinHeap`], the crate's one priority queue,
+//! and walk each popped vertex's wedges with [`crate::peel`]'s walks.
 
 use crate::heap::IndexedMinHeap;
-use crate::peel::{walk_live, LiveAdjacency, PeelScratch};
+use crate::peel::{walk_live, walk_static, LiveAdjacency, PeelScratch};
 use bigraph::{BipartiteCsr, Side, SideGraph, VertexId};
 use std::time::Instant;
 
@@ -27,53 +28,25 @@ pub struct BaselineResult {
 /// Core sequential peel: repeatedly extract the minimum-support vertex,
 /// record its support as the tip number, and decrement 2-hop neighbours by
 /// the shared butterfly count, clamped below at the extracted value
-/// (Algorithm 2 line 13). Returns `(tip numbers, wedges traversed)`.
+/// (Algorithm 2 line 13). Walks the static lists, so every wedge is walked
+/// from both ends. Returns `(tip numbers, wedges traversed)`.
 ///
 /// Works on any [`SideGraph`]; BUP runs it on the full graph.
 pub fn peel_all(view: SideGraph<'_>, init_support: &[u64], heap_arity: usize) -> (Vec<u64>, u64) {
     let n = init_support.len();
     debug_assert_eq!(n, view.num_primary());
     let mut heap = IndexedMinHeap::new(heap_arity, init_support);
+    let mut scratch = PeelScratch::new(n);
     let mut tip = vec![0u64; n];
-    let mut cnt = vec![0u32; n];
-    let mut touched: Vec<VertexId> = Vec::new();
     let mut wedges = 0u64;
 
     while let Some((u, theta)) = heap.pop_min() {
         tip[u as usize] = theta;
-        for &v in view.neighbors_primary(u) {
-            for &u2 in view.neighbors_secondary(v) {
-                if u2 == u {
-                    continue;
-                }
-                wedges += 1;
-                let c = &mut cnt[u2 as usize];
-                if *c == 0 {
-                    touched.push(u2);
-                }
-                *c += 1;
-            }
-        }
-        for &u2 in &touched {
-            let c = cnt[u2 as usize] as u64;
-            cnt[u2 as usize] = 0;
-            decrement_shared(&mut heap, u2, c, theta);
-        }
-        touched.clear();
+        wedges += walk_static(view, u, &mut scratch, |u2, c| {
+            decrement_shared(&mut heap, u2, c, theta)
+        });
     }
     (tip, wedges)
-}
-
-/// Algorithm 2 line 13: `u2` shares `c` neighbours, so `C(c, 2)`
-/// butterflies, with the vertex just peeled at `theta`; lower its support
-/// by that many, never below `theta`. No-op once `u2` is peeled.
-#[inline]
-fn decrement_shared(heap: &mut IndexedMinHeap, u2: VertexId, c: u64, theta: u64) {
-    if c >= 2 {
-        if let Some(cur) = heap.key(u2) {
-            heap.decrease_key(u2, cur.saturating_sub(c * (c - 1) / 2).max(theta));
-        }
-    }
 }
 
 /// [`peel_all`] with two exact savings; the tip numbers are the same.
@@ -89,31 +62,38 @@ fn decrement_shared(heap: &mut IndexedMinHeap, u2: VertexId, c: u64, theta: u64)
 ///   popped vertex's other lists combined, that list is not scanned; each
 ///   vertex due a decrement gets its +1 for it from a binary search in its
 ///   own sorted adjacency. The probes cost fewer wedges than the scan
-///   would. CD's live peel shares this wedge walk (`peel::walk_live`).
+///   would. CD's live peel shares this wedge walk.
 pub fn peel_live(view: SideGraph<'_>, init_support: &[u64], heap_arity: usize) -> (Vec<u64>, u64) {
     let n = init_support.len();
     debug_assert_eq!(n, view.num_primary());
     let mut heap = IndexedMinHeap::new(heap_arity, init_support);
-    let mut live = LiveAdjacency::new(view.num_secondary(), |v| view.neighbors_secondary(v));
+    let mut live = LiveAdjacency::new(view);
     let mut scratch = PeelScratch::new(n);
     let mut tip = vec![0u64; n];
     let mut wedges = 0u64;
 
     while let Some((u, theta)) = heap.pop_min() {
         tip[u as usize] = theta;
-        let neighbors = view.neighbors_primary(u);
-        for &v in neighbors {
+        for &v in view.neighbors_primary(u) {
             live.remove(v, u);
         }
-        wedges += walk_live(
-            neighbors,
-            |v| live.list(v),
-            |u2, hub| view.neighbors_primary(u2).binary_search(&hub).is_ok(),
-            &mut scratch,
-            |u2, c| decrement_shared(&mut heap, u2, c, theta),
-        );
+        wedges += walk_live(view, u, &live, &mut scratch, |u2, c| {
+            decrement_shared(&mut heap, u2, c, theta)
+        });
     }
     (tip, wedges)
+}
+
+/// Algorithm 2 line 13: `u2` shares `c` neighbours, so `C(c, 2)`
+/// butterflies, with the vertex just peeled at `theta`; lower its support
+/// by that many, never below `theta`. No-op once `u2` is peeled.
+#[inline]
+fn decrement_shared(heap: &mut IndexedMinHeap, u2: VertexId, c: u64, theta: u64) {
+    if c >= 2 {
+        if let Some(cur) = heap.key(u2) {
+            heap.decrease_key(u2, cur.saturating_sub(c * (c - 1) / 2).max(theta));
+        }
+    }
 }
 
 /// The full BUP baseline: per-vertex counting (sequential Algorithm 1) to
@@ -146,20 +126,6 @@ pub fn bup_decompose(g: &BipartiteCsr, side: Side, heap_arity: usize) -> Baselin
         time_count,
         time_peel,
     }
-}
-
-/// The wedge workload of BUP without running it (footnote 6 of the paper:
-/// aggregate 2-hop neighbourhood sizes — every vertex's wedges are
-/// traversed once when it is peeled).
-pub fn bup_peel_wedges(view: SideGraph<'_>) -> u64 {
-    (0..view.num_primary() as VertexId)
-        .map(|u| {
-            view.neighbors_primary(u)
-                .iter()
-                .map(|&v| (view.deg_secondary(v) as u64) - 1)
-                .sum::<u64>()
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -246,7 +212,7 @@ mod tests {
     fn peel_wedges_prediction_matches_actual() {
         let g = gen::uniform(50, 40, 300, 8);
         let view = g.view(Side::U);
-        let predicted = bup_peel_wedges(view);
+        let predicted = bigraph::stats::total_primary_wedges(view);
         let counts = butterfly::count_graph(&g);
         let (_, actual) = peel_all(view, &counts.u, 4);
         assert_eq!(predicted, actual);

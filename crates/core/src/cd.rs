@@ -17,10 +17,12 @@
 //! every subset, so the list shrinks as CD advances. Elements left after
 //! `P` subsets form the extra `P+1`-th subset.
 //!
-//! Tip CD's round also implements the two workload optimizations of §4,
-//! each governed by its [`Config`] toggle:
+//! Tip CD's round peels on a [`PeelGraph`] over the input CSR, and
+//! implements the two workload optimizations of §4, each governed by its
+//! [`Config`] toggle:
 //! * **HUC** — when peeling the active set would traverse more wedges than
-//!   re-counting from scratch, re-count;
+//!   re-counting from scratch, re-count. The re-count runs on the
+//!   [`RankedGraph`] built for initial counting, skipping peeled vertices;
 //! * **DGM** — every round drops its peeled vertices from the live lists it
 //!   touched ([`PeelGraph::kill_batch`]), so traversal never scans a peeled
 //!   vertex and walks each wedge from one end, probing hub lists instead of
@@ -28,11 +30,9 @@
 
 use crate::config::Config;
 use crate::metrics::Metrics;
-use crate::peel::{peel_vertex, PeelGraph, PeelScratch};
+use crate::peel::PeelGraph;
 use crate::support::SupportVec;
-use bigraph::{BipartiteCsr, RankedGraph, Side, VertexId};
-use parutil::ScratchPool;
-use rayon::prelude::*;
+use bigraph::{BipartiteCsr, RankedGraph, Side, SideGraph, VertexId};
 use std::time::Instant;
 
 /// Output of coarse-grained decomposition, consumed by
@@ -65,21 +65,10 @@ pub fn coarse_decompose(g: &BipartiteCsr, side: Side, config: &Config) -> Coarse
 
     let t_cd = Instant::now();
     let view = g.view(side);
-    let n = view.num_primary();
     let support = SupportVec::from_counts(counts.side(side));
     // Static per-vertex wedge counts in G: the proxy findHi balances on.
     let w = bigraph::stats::wedges_per_primary(view);
-    let mut round = TipRound {
-        side,
-        pg: PeelGraph::new(side, ranked, config.dgm),
-        huc: config.huc,
-        // HUC's re-count cost, of the graph as counted: the live graph
-        // only shrinks, so it stays an upper bound — a conservative test.
-        c_rcnt: bigraph::stats::recount_cost(view),
-        scratch_pool: ScratchPool::new(move || PeelScratch::new(n)),
-        wedges: 0,
-        recounts: 0,
-    };
+    let mut round = TipRound::new(view, ranked, config);
     let ranges = coarse_ranges(&mut round, &support, &w, config.effective_partitions());
 
     let metrics = Metrics {
@@ -230,19 +219,45 @@ pub(crate) fn coarse_ranges(
     }
 }
 
-/// Tip CD's round: one parallel [`peel_vertex`] pass over the active set
-/// (lines 12–13), or HUC's re-count of the live subgraph.
-struct TipRound {
+/// Tip CD's round: one parallel peel of the active set (lines 12–13), or
+/// HUC's re-count of the live subgraph.
+struct TipRound<'a> {
     side: Side,
-    pg: PeelGraph,
+    pg: PeelGraph<'a>,
+    /// The graph as counted, which HUC re-counts.
+    ranked: RankedGraph,
     huc: bool,
     c_rcnt: u64,
-    scratch_pool: ScratchPool<PeelScratch>,
     wedges: u64,
     recounts: u64,
 }
 
-impl PeelRound for TipRound {
+impl<'a> TipRound<'a> {
+    fn new(view: SideGraph<'a>, ranked: RankedGraph, config: &Config) -> Self {
+        TipRound {
+            side: view.side(),
+            pg: PeelGraph::new(view, config.dgm),
+            ranked,
+            huc: config.huc,
+            // HUC's re-count cost, of the graph as counted: the live graph
+            // only shrinks, so it stays an upper bound — a conservative test.
+            c_rcnt: bigraph::stats::recount_cost(view),
+            wedges: 0,
+            recounts: 0,
+        }
+    }
+
+    /// HUC's re-count: per-vertex butterfly counts of the live subgraph,
+    /// computed on the graph as counted with the peeled vertices filtered
+    /// out. Counts for both sides; the peeled side's are exact.
+    /// Vertex-priority counting is exact under any fixed total order, so
+    /// the original ranks serve and nothing is re-ranked.
+    fn recount_live(&self) -> butterfly::VertexCounts {
+        butterfly::parallel::par_counts_with_filter(&self.ranked, self.side, self.pg.alive_flags())
+    }
+}
+
+impl PeelRound for TipRound<'_> {
     fn is_alive(&self, u: VertexId) -> bool {
         self.pg.is_alive(u)
     }
@@ -258,13 +273,11 @@ impl PeelRound for TipRound {
         self.pg.kill_batch(active);
         let pg = &self.pg;
         let c_peel: u64 = active.iter().map(|&u| pg.peel_cost(u)).sum();
-        if self.huc && pg.live_count() > 0 && c_peel > self.c_rcnt {
+        if self.huc && c_peel > self.c_rcnt && live.iter().any(|&u| pg.is_alive(u)) {
             // HUC (§4.1): re-count butterflies of the live subgraph
-            // instead of propagating the active set's updates. The
-            // PeelGraph keeps the graph as counted, rank-sorted, so the
-            // re-count needs no re-ranking.
+            // instead of propagating the active set's updates.
             self.recounts += 1;
-            let rc = pg.recount_live();
+            let rc = self.recount_live();
             self.wedges += rc.wedges_traversed;
             let fresh = rc.side(self.side);
             for &u in live {
@@ -274,32 +287,7 @@ impl PeelRound for TipRound {
             }
             return below(live, |u| pg.is_alive(u), support, hi);
         }
-        // Parallel over the active set; each task checks scratch out once.
-        let (candidates, wedges) = active
-            .par_iter()
-            .fold(
-                || (Vec::new(), 0u64, self.scratch_pool.acquire()),
-                |(mut acc, wedges, mut scratch), &u| {
-                    let wc = peel_vertex(
-                        pg,
-                        u,
-                        theta_lo,
-                        support,
-                        pg.alive_flags(),
-                        &mut scratch,
-                        |u2| acc.push(u2),
-                    );
-                    (acc, wedges + wc, scratch)
-                },
-            )
-            .map(|(acc, wedges, _)| (acc, wedges))
-            .reduce(
-                || (Vec::new(), 0),
-                |(mut a, wa), (mut b, wb)| {
-                    a.append(&mut b);
-                    (a, wa + wb)
-                },
-            );
+        let (candidates, wedges) = pg.peel_batch(active, theta_lo, support);
         self.wedges += wedges;
         candidates
     }
@@ -660,5 +648,25 @@ mod tests {
         assert_eq!(a.init_support, b.init_support);
         assert_eq!(a.metrics.sync_rounds, b.metrics.sync_rounds);
         assert_eq!(a.metrics.wedges_cd, b.metrics.wedges_cd);
+    }
+
+    #[test]
+    fn recount_live_matches_fresh_count() {
+        // Counting on the original ranks with dead vertices filtered must
+        // equal a from-scratch count of the live subgraph.
+        let g = gen::zipf(50, 30, 300, 0.5, 0.9, 6);
+        let mut round = TipRound::new(
+            g.view(Side::U),
+            RankedGraph::from_csr(&g),
+            &Config::default(),
+        );
+        let dead: Vec<u32> = (0..50).step_by(3).collect();
+        round.pg.kill_batch(&dead);
+        let stale = round.recount_live();
+        let alive_u: Vec<bool> = (0..50).map(|u| u % 3 != 0).collect();
+        let fresh_csr = bigraph::compact::compact(&g, &alive_u, &[true; 30]);
+        let fresh = butterfly::count_graph(&fresh_csr);
+        assert_eq!(stale.u, fresh.u);
+        assert_eq!(stale.v, fresh.v);
     }
 }

@@ -114,11 +114,7 @@ struct EngineCore {
 
 impl EngineCore {
     fn snapshot(&self) -> EngineSnapshot {
-        let graph = self.index.materialize();
-        let edge_counts = graph
-            .edges()
-            .map(|(u, v)| self.index.edge_count(u, v))
-            .collect();
+        let (graph, edge_counts) = self.index.materialize_with_edge_counts();
         EngineSnapshot {
             epoch: self.epoch,
             counts_u: self.index.counts_side(Side::U).to_vec(),

@@ -11,6 +11,7 @@
 //! induced subgraph — common neighbours are secondary vertices, which are
 //! all retained).
 
+use crate::peel::{walk_static, PeelScratch};
 use bigraph::{SideGraph, VertexId};
 
 /// Disjoint-set forest over dense ids, with path compression; a union
@@ -82,30 +83,15 @@ pub fn ktip_components(view: SideGraph<'_>, tips: &[u64], k: u64) -> Vec<Vec<Ver
         in_set[u as usize] = true;
     }
     let mut uf = UnionFind::new(np);
-    let mut common = vec![0u32; np];
-    let mut touched: Vec<VertexId> = Vec::new();
+    let mut scratch = PeelScratch::new(np);
     let mut has_butterfly = vec![false; np];
-
     for &u in &members {
-        for &v in view.neighbors_primary(u) {
-            for &u2 in view.neighbors_secondary(v) {
-                if u2 > u && in_set[u2 as usize] {
-                    if common[u2 as usize] == 0 {
-                        touched.push(u2);
-                    }
-                    common[u2 as usize] += 1;
-                }
-            }
-        }
-        for &u2 in &touched {
-            if common[u2 as usize] >= 2 {
+        walk_static(view, u, &mut scratch, |u2, common| {
+            if common >= 2 && in_set[u2 as usize] {
                 uf.union(u, u2);
                 has_butterfly[u as usize] = true;
-                has_butterfly[u2 as usize] = true;
             }
-            common[u2 as usize] = 0;
-        }
-        touched.clear();
+        });
     }
 
     let mut by_root: std::collections::BTreeMap<u32, Vec<VertexId>> = Default::default();

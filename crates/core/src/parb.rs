@@ -7,15 +7,18 @@
 //! next round's batch, so rounds are inherently serialized — that is the
 //! synchronization bottleneck RECEIPT removes (ρ here is typically 100–1000×
 //! the RECEIPT CD round count, Table 3).
+//!
+//! Rounds peel on a [`PeelGraph`] without DGM, so every peel walks the
+//! input CSR's lists and each wedge is walked from both ends, as in BUP.
+//! A round of 16 or more vertices is CD's parallel round,
+//! `PeelGraph::peel_batch`; a smaller one peels on the calling thread.
+//! Vertices are claimed through the graph's alive flags.
 
 use crate::bucket::BucketQueue;
 use crate::bup::BaselineResult;
-use crate::peel::{peel_vertex, PeelScratch};
+use crate::peel::PeelGraph;
 use crate::support::SupportVec;
-use bigraph::{BipartiteCsr, Side, VertexId};
-use parutil::ScratchPool;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use bigraph::{BipartiteCsr, Side};
 use std::time::Instant;
 
 /// Number of open buckets used by ParButterfly (via Julienne).
@@ -33,34 +36,19 @@ pub fn parb_decompose(g: &BipartiteCsr, side: Side) -> BaselineResult {
     let time_count = t0.elapsed();
 
     let view = g.view(side);
-    let n = view.num_primary();
     let t1 = Instant::now();
 
+    let pg = PeelGraph::new(view, false);
     let support = SupportVec::from_counts(counts.side(side));
-    let alive: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(true)).collect();
     let mut queue = BucketQueue::new(PARB_OPEN_BUCKETS, &support.snapshot());
-    let mut tip = vec![0u64; n];
+    let mut tip = vec![0u64; view.num_primary()];
     let mut wedges = 0u64;
-    let scratch_pool = ScratchPool::new(move || PeelScratch::new(n));
     let mut rounds = 0u64;
 
     loop {
         let batch = queue.pop_min_batch(
-            |id| {
-                // Claim: flip alive -> false exactly once.
-                if alive[id as usize].swap(false, Ordering::Relaxed) {
-                    Some(support.get(id))
-                } else {
-                    None
-                }
-            },
-            |id| {
-                if alive[id as usize].load(Ordering::Relaxed) {
-                    Some(support.get(id))
-                } else {
-                    None
-                }
-            },
+            |id| pg.claim(id).then(|| support.get(id)),
+            |id| pg.is_alive(id).then(|| support.get(id)),
         );
         let Some((theta, batch)) = batch else { break };
         rounds += 1;
@@ -70,38 +58,19 @@ pub fn parb_decompose(g: &BipartiteCsr, side: Side) -> BaselineResult {
 
         // Peel the batch; collect every vertex whose support changed so it
         // can be (lazily) re-filed in the bucket structure.
-        let peel = |acc: &mut Vec<VertexId>, scratch: &mut PeelScratch, u: VertexId| -> u64 {
-            peel_vertex(&view, u, theta, &support, &alive, scratch, |u2| {
-                acc.push(u2)
-            })
-        };
         let (updated, round_wedges) = if batch.len() < SEQ_BATCH_CUTOFF {
-            let (mut acc, mut scratch) = (Vec::new(), scratch_pool.acquire());
-            let w = batch.iter().map(|&u| peel(&mut acc, &mut scratch, u)).sum();
-            (acc, w)
+            let (mut updated, mut scratch) = (Vec::new(), pg.scratch());
+            let w = batch
+                .iter()
+                .map(|&u| pg.peel_vertex(u, theta, &support, &mut scratch, |u2| updated.push(u2)))
+                .sum();
+            (updated, w)
         } else {
-            // Each task checks scratch out once for all of its vertices.
-            batch
-                .par_iter()
-                .fold(
-                    || (Vec::new(), 0u64, scratch_pool.acquire()),
-                    |(mut acc, w, mut scratch), &u| {
-                        let wc = peel(&mut acc, &mut scratch, u);
-                        (acc, w + wc, scratch)
-                    },
-                )
-                .map(|(acc, w, _)| (acc, w))
-                .reduce(
-                    || (Vec::new(), 0),
-                    |(mut a, wa), (mut b, wb)| {
-                        a.append(&mut b);
-                        (a, wa + wb)
-                    },
-                )
+            pg.peel_batch(&batch, theta, &support)
         };
         wedges += round_wedges;
         for u2 in updated {
-            if alive[u2 as usize].load(Ordering::Relaxed) {
+            if pg.is_alive(u2) {
                 queue.insert(u2, support.get(u2));
             }
         }

@@ -1,48 +1,32 @@
-//! The parallel peel/update machinery shared by RECEIPT CD and ParB:
-//! wedge-aggregation scratch, the `update()` routine of Algorithm 2, the
-//! live-list wedge walk with its hub probe (shared with
-//! [`crate::bup::peel_live`]), and [`PeelGraph`] — CD's live graph, which
-//! implements Dynamic Graph Maintenance (§4.2) by dropping every round's
-//! peeled vertices from the lists the round touched.
+//! The vertex peel of Algorithm 2's `update()`, written once for the
+//! whole crate: the two wedge walks of a popped vertex, and [`PeelGraph`],
+//! the graph RECEIPT CD and ParB peel in parallel rounds.
+//!
+//! * `walk_static` walks the input CSR's lists. Across a whole peel,
+//!   every wedge is walked from both ends. ParB, CD with DGM off,
+//!   [`crate::bup::peel_all`] and [`crate::hierarchy::ktip_components`]
+//!   use it.
+//! * `walk_live` walks *live lists*, which hold only unpeeled primaries,
+//!   so each wedge is walked from the end peeled first. It probes hub
+//!   lists instead of scanning them. CD with DGM on and
+//!   [`crate::bup::peel_live`] use it.
+//!
+//! [`PeelGraph`] reads the input graph's [`SideGraph`]. With Dynamic Graph
+//! Maintenance (§4.2) on, it keeps live copies of the secondary lists and
+//! drops every round's peeled vertices from them.
 
 use crate::support::SupportVec;
-use bigraph::{BipartiteCsr, RankedGraph, Side, SideGraph, VertexId};
+use bigraph::{SideGraph, VertexId};
+use parutil::pool::ScratchGuard;
+use parutil::ScratchPool;
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Neighbour access used by wedge traversal. Implemented by [`SideGraph`]
-/// (static graph) and [`PeelGraph`] (CD's live graph).
-pub trait WedgeAccess: Sync {
-    fn nbrs_primary(&self, p: VertexId) -> &[VertexId];
-    fn nbrs_secondary(&self, s: VertexId) -> &[VertexId];
-    /// Whether every [`WedgeAccess::nbrs_secondary`] list holds only
-    /// unpeeled primaries. Then [`peel_vertex`] walks each wedge from one
-    /// end and probes hubs through [`WedgeAccess::adjacent`]; on static
-    /// lists (the default) it walks every wedge from both ends.
-    fn live(&self) -> bool {
-        false
-    }
-    /// Whether primary `p` and secondary `s` are adjacent: the hub probe.
-    fn adjacent(&self, p: VertexId, s: VertexId) -> bool {
-        self.nbrs_primary(p).contains(&s)
-    }
-}
-
-impl WedgeAccess for SideGraph<'_> {
-    #[inline]
-    fn nbrs_primary(&self, p: VertexId) -> &[VertexId] {
-        self.neighbors_primary(p)
-    }
-    #[inline]
-    fn nbrs_secondary(&self, s: VertexId) -> &[VertexId] {
-        self.neighbors_secondary(s)
-    }
-}
-
-/// Dense per-task scratch for one `update()` call: common-neighbour counts
-/// plus the list of touched 2-hop neighbours.
+/// Dense scratch for one vertex's wedge walk: common-neighbour counts plus
+/// the list of touched 2-hop neighbours.
 pub struct PeelScratch {
-    pub cnt: Vec<u32>,
-    pub touched: Vec<VertexId>,
+    cnt: Vec<u32>,
+    touched: Vec<VertexId>,
 }
 
 impl PeelScratch {
@@ -74,44 +58,19 @@ impl PeelScratch {
     }
 }
 
-/// Algorithm 2's `update(u, floor, ⋈, G)` for the parallel steps: traverses
-/// all wedges anchored at the peeled vertex `u`, computes the shared
-/// butterfly count `⋈(u, u') = C(common, 2)` per 2-hop neighbour, and
-/// applies floor-clamped atomic decrements to every *alive* neighbour.
-/// Calls `on_updated(u')` for each alive neighbour whose support actually
-/// changed. Returns the number of wedges traversed.
-///
-/// On live lists ([`WedgeAccess::live`]) this is `walk_live`, hub probe
-/// included; on static lists every wedge is walked from both ends.
-pub fn peel_vertex<G: WedgeAccess>(
-    g: &G,
+/// The wedge walk of popped vertex `u` on the static lists of `view`:
+/// calls `apply(u2, c)` for every other primary on the lists of `u`'s
+/// neighbours, with `c` its common neighbours with `u`. Returns the wedges
+/// walked.
+pub(crate) fn walk_static(
+    view: SideGraph<'_>,
     u: VertexId,
-    floor: u64,
-    support: &SupportVec,
-    alive: &[AtomicBool],
     scratch: &mut PeelScratch,
-    mut on_updated: impl FnMut(VertexId),
+    apply: impl FnMut(VertexId, u64),
 ) -> u64 {
-    let apply = |u2: VertexId, c: u64| {
-        if c >= 2 && alive[u2 as usize].load(Ordering::Relaxed) {
-            let prev = support.decrement(u2, c * (c - 1) / 2, floor);
-            if prev > floor {
-                on_updated(u2);
-            }
-        }
-    };
-    if g.live() {
-        return walk_live(
-            g.nbrs_primary(u),
-            |s| g.nbrs_secondary(s),
-            |p, s| g.adjacent(p, s),
-            scratch,
-            apply,
-        );
-    }
     let mut wedges = 0u64;
-    for &s in g.nbrs_primary(u) {
-        for &u2 in g.nbrs_secondary(s) {
+    for &s in view.neighbors_primary(u) {
+        for &u2 in view.neighbors_secondary(s) {
             if u2 != u {
                 wedges += 1;
                 scratch.note(u2);
@@ -122,31 +81,32 @@ pub fn peel_vertex<G: WedgeAccess>(
     wedges
 }
 
-/// The wedge walk of one popped vertex on live lists, shared by
-/// [`peel_vertex`] (CD) and [`crate::bup::peel_live`]. `list(s)` is the
-/// live list of each of the vertex's `neighbors`: the unpeeled primaries
-/// on it, the popped vertex no longer among them. So each wedge is walked
-/// from one end only.
+/// The wedge walk of popped vertex `u` on live lists. `live` must hold,
+/// for each of `u`'s neighbours in `view`, the unpeeled primaries on its
+/// list, `u` no longer among them. So each wedge is walked from one end
+/// only.
 ///
 /// **Hub probe.** When one neighbour's list is longer than the other lists
 /// combined, it is not scanned. A pair shares a butterfly only with 2 or
 /// more common neighbours, so every vertex due a decrement also sits on
-/// another list; its +1 for the skipped list comes from
-/// `adjacent(u2, hub)`, a binary search in its own sorted list. A probe
-/// counts as one wedge.
+/// another list; its +1 for the skipped list comes from a binary search
+/// for the hub in its own sorted list in `view`. A probe counts as one
+/// wedge. The hub is longer than all other lists together, so it is
+/// unique whatever the list order.
 ///
 /// Calls `apply(u2, c)` for every vertex on the walked lists, with `c` its
-/// common neighbours with the popped vertex. Returns the wedges walked.
-pub(crate) fn walk_live<'a>(
-    neighbors: &[VertexId],
-    list: impl Fn(VertexId) -> &'a [VertexId],
-    adjacent: impl Fn(VertexId, VertexId) -> bool,
+/// common neighbours with `u`. Returns the wedges walked.
+pub(crate) fn walk_live(
+    view: SideGraph<'_>,
+    u: VertexId,
+    live: &LiveAdjacency,
     scratch: &mut PeelScratch,
     mut apply: impl FnMut(VertexId, u64),
 ) -> u64 {
+    let neighbors = view.neighbors_primary(u);
     let (mut hub, mut hub_len, mut all_len) = (0, 0, 0);
     for &s in neighbors {
-        let len = list(s).len();
+        let len = live.list(s).len();
         all_len += len;
         if len > hub_len {
             (hub, hub_len) = (s, len);
@@ -158,7 +118,7 @@ pub(crate) fn walk_live<'a>(
         if Some(s) == skip {
             continue;
         }
-        let list = list(s);
+        let list = live.list(s);
         wedges += list.len() as u64;
         for &u2 in list {
             scratch.note(u2);
@@ -168,15 +128,18 @@ pub(crate) fn walk_live<'a>(
         None => scratch.drain(apply),
         Some(hub) => {
             wedges += scratch.touched.len() as u64;
-            scratch.drain(|u2, c| apply(u2, c + adjacent(u2, hub) as u64));
+            scratch.drain(|u2, c| {
+                let on_hub = view.neighbors_primary(u2).binary_search(&hub).is_ok();
+                apply(u2, c + on_hub as u64)
+            });
         }
     }
     wedges
 }
 
 /// A secondary adjacency restricted to unpeeled primaries:
-/// `adj[start[s]..end[s]]` is the live list of `s`. Lists shrink in place
-/// and keep the order they were built in.
+/// `adj[start[s]..end[s]]` is the live list of `s`. Lists start as copies
+/// of the CSR's, so they are sorted by id, and shrink in place.
 pub(crate) struct LiveAdjacency {
     start: Vec<usize>,
     end: Vec<usize>,
@@ -184,15 +147,15 @@ pub(crate) struct LiveAdjacency {
 }
 
 impl LiveAdjacency {
-    /// Copies `list(s)` for every `s < num_lists`.
-    pub(crate) fn new<'a>(num_lists: usize, list: impl Fn(VertexId) -> &'a [VertexId]) -> Self {
-        let total = (0..num_lists as VertexId).map(|s| list(s).len()).sum();
-        let mut start = Vec::with_capacity(num_lists);
-        let mut end = Vec::with_capacity(num_lists);
-        let mut adj = Vec::with_capacity(total);
-        for s in 0..num_lists as VertexId {
+    /// Copies every secondary list of `view`.
+    pub(crate) fn new(view: SideGraph<'_>) -> Self {
+        let ns = view.num_secondary();
+        let mut start = Vec::with_capacity(ns);
+        let mut end = Vec::with_capacity(ns);
+        let mut adj = Vec::with_capacity(view.num_edges());
+        for s in 0..ns as VertexId {
             start.push(adj.len());
-            adj.extend_from_slice(list(s));
+            adj.extend_from_slice(view.neighbors_secondary(s));
             end.push(adj.len());
         }
         LiveAdjacency { start, end, adj }
@@ -203,8 +166,7 @@ impl LiveAdjacency {
         &self.adj[self.start[s as usize]..self.end[s as usize]]
     }
 
-    /// Removes the live vertex `p` from the list of its neighbour `s`,
-    /// which must be in ascending id order.
+    /// Removes the live vertex `p` from the list of its neighbour `s`.
     #[inline]
     pub(crate) fn remove(&mut self, s: VertexId, p: VertexId) {
         let list = &mut self.adj[self.start[s as usize]..self.end[s as usize]];
@@ -230,58 +192,34 @@ impl LiveAdjacency {
     }
 }
 
-/// The live graph during coarse-grained peeling. Owns the rank-sorted
-/// [`RankedGraph`] built for initial counting and never changes it: HUC
-/// re-counts run on it with the *original* ranks, filtering peeled
-/// vertices by their alive flags (vertex-priority counting is exact under
-/// any fixed total order; the degree order merely bounds its cost).
+/// The graph a parallel peel runs on: the input graph's [`SideGraph`],
+/// an alive flag per primary, and a pool of [`PeelScratch`]es.
 ///
-/// With DGM on, it also keeps *live lists*: each secondary vertex's
-/// unpeeled primaries, in rank order. [`PeelGraph::kill_batch`] drops each
-/// round's peeled vertices from them, so [`peel_vertex`] walks each wedge
-/// from one end and probes hubs by rank. With DGM off, traversal reads the
-/// static lists.
-pub struct PeelGraph {
-    side: Side,
-    ranked: RankedGraph,
+/// With DGM on, it also keeps live lists. [`PeelGraph::kill_batch`] drops
+/// each round's peeled vertices from them, so [`PeelGraph::peel_vertex`]
+/// walks each wedge from one end and probes hubs. With DGM off, it walks
+/// the CSR's lists.
+pub struct PeelGraph<'a> {
+    view: SideGraph<'a>,
     alive: Vec<AtomicBool>,
-    live_count: usize,
     /// The live lists, with DGM on.
     live: Option<LiveAdjacency>,
     /// [`PeelGraph::kill_batch`]'s per-list marks, all false between calls.
     marked: Vec<bool>,
+    scratch: ScratchPool<PeelScratch>,
 }
 
-impl PeelGraph {
-    /// Takes ownership of the ranked graph built for initial counting;
-    /// `dgm` keeps live lists.
-    pub fn new(side: Side, ranked: RankedGraph, dgm: bool) -> Self {
-        let (n, ns) = match side {
-            Side::U => (ranked.num_u(), ranked.num_v()),
-            Side::V => (ranked.num_v(), ranked.num_u()),
-        };
-        let mut pg = PeelGraph {
-            side,
-            ranked,
+impl<'a> PeelGraph<'a> {
+    /// Every primary of `view` alive; `dgm` keeps live lists.
+    pub fn new(view: SideGraph<'a>, dgm: bool) -> Self {
+        let n = view.num_primary();
+        PeelGraph {
+            view,
             alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            live_count: n,
-            live: None,
-            marked: Vec::new(),
-        };
-        if dgm {
-            pg.live = Some(LiveAdjacency::new(ns, |s| pg.nbrs_secondary(s)));
-            pg.marked = vec![false; ns];
+            live: dgm.then(|| LiveAdjacency::new(view)),
+            marked: vec![false; if dgm { view.num_secondary() } else { 0 }],
+            scratch: ScratchPool::new(move || PeelScratch::new(n)),
         }
-        pg
-    }
-
-    /// Convenience for tests: rank the graph and wrap it.
-    pub fn from_csr(g: &BipartiteCsr, side: Side, dgm: bool) -> Self {
-        PeelGraph::new(side, RankedGraph::from_csr(g), dgm)
-    }
-
-    pub fn num_primary(&self) -> usize {
-        self.alive.len()
     }
 
     #[inline]
@@ -293,23 +231,23 @@ impl PeelGraph {
         &self.alive
     }
 
-    pub fn live_count(&self) -> usize {
-        self.live_count
+    /// Marks `p` peeled. Returns whether it was alive, so each vertex is
+    /// claimed once even when claims race. Leaves the live lists as they
+    /// are.
+    pub(crate) fn claim(&self, p: VertexId) -> bool {
+        self.alive[p as usize].swap(false, Ordering::Relaxed)
     }
 
     /// Marks a batch peeled. With live lists, also drops the batch from
     /// them: each list a batch vertex sits on is filtered once, by the
-    /// alive flags, keeping its rank order. Call between iterations
-    /// (single-threaded bookkeeping; the flags are read concurrently).
+    /// alive flags, keeping its order. Call between rounds.
     pub fn kill_batch(&mut self, batch: &[VertexId]) {
         for &u in batch {
-            debug_assert!(self.is_alive(u), "double peel of {u}");
-            self.alive[u as usize].store(false, Ordering::Relaxed);
+            let claimed = self.claim(u);
+            debug_assert!(claimed, "double peel of {u}");
         }
-        self.live_count -= batch.len();
         let PeelGraph {
-            side,
-            ranked,
+            view,
             alive,
             live: Some(live),
             marked,
@@ -320,7 +258,7 @@ impl PeelGraph {
         };
         let mut lists = Vec::new();
         for &u in batch {
-            for &s in primary_list(ranked, *side, u) {
+            for &s in view.neighbors_primary(u) {
                 if !std::mem::replace(&mut marked[s as usize], true) {
                     lists.push(s);
                 }
@@ -332,69 +270,82 @@ impl PeelGraph {
         }
     }
 
+    /// `s`'s list as the walk reads it: live with DGM on, else static.
+    #[inline]
+    fn secondary(&self, s: VertexId) -> &[VertexId] {
+        match &self.live {
+            Some(live) => live.list(s),
+            None => self.view.neighbors_secondary(s),
+        }
+    }
+
     /// Peel-cost `Σ_{v∈N_u} d_v` of one vertex, with `d_v` the length of
-    /// `v`'s list as traversal sees it (live or static).
+    /// `v`'s list as the walk reads it.
     pub fn peel_cost(&self, u: VertexId) -> u64 {
-        self.nbrs_primary(u)
+        self.view
+            .neighbors_primary(u)
             .iter()
-            .map(|&s| self.nbrs_secondary(s).len() as u64)
+            .map(|&s| self.secondary(s).len() as u64)
             .sum()
     }
 
-    /// HUC re-count: per-vertex butterfly counts of the *live* subgraph,
-    /// computed on the graph as counted with alive-filtering — no
-    /// re-ranking (the original rank order stays a valid priority for
-    /// exact counting). Returns counts for both sides; callers pick
-    /// `counts.side(side)`.
-    pub fn recount_live(&self) -> butterfly::VertexCounts {
-        butterfly::parallel::par_counts_with_filter(&self.ranked, self.side, &self.alive)
-    }
-
-    /// Rank of secondary vertex `s`: the order of every primary's list.
-    #[inline]
-    fn rank_secondary(&self, s: VertexId) -> u32 {
-        match self.side {
-            Side::U => self.ranked.rank_v(s),
-            Side::V => self.ranked.rank_u(s),
-        }
-    }
-}
-
-/// `p`'s neighbours on the other side, ascending by rank.
-#[inline]
-fn primary_list(ranked: &RankedGraph, side: Side, p: VertexId) -> &[VertexId] {
-    match side {
-        Side::U => ranked.neighbors_u(p),
-        Side::V => ranked.neighbors_v(p),
-    }
-}
-
-impl WedgeAccess for PeelGraph {
-    #[inline]
-    fn nbrs_primary(&self, p: VertexId) -> &[VertexId] {
-        primary_list(&self.ranked, self.side, p)
-    }
-
-    #[inline]
-    fn nbrs_secondary(&self, s: VertexId) -> &[VertexId] {
-        match (&self.live, self.side) {
-            (Some(live), _) => live.list(s),
-            (None, Side::U) => self.ranked.neighbors_v(s),
-            (None, Side::V) => self.ranked.neighbors_u(s),
+    /// Algorithm 2's `update(u, floor, ⋈, G)`: walks the wedges of the
+    /// peeled vertex `u`, and lowers every *alive* 2-hop neighbour's
+    /// support by the butterflies it shares with `u`, `C(common, 2)`,
+    /// never below `floor`. Calls `on_updated(u')` for each neighbour
+    /// whose support changed. Returns the wedges walked.
+    pub fn peel_vertex(
+        &self,
+        u: VertexId,
+        floor: u64,
+        support: &SupportVec,
+        scratch: &mut PeelScratch,
+        mut on_updated: impl FnMut(VertexId),
+    ) -> u64 {
+        let apply = |u2: VertexId, c: u64| {
+            if c >= 2 && self.is_alive(u2) && support.decrement(u2, c * (c - 1) / 2, floor) > floor
+            {
+                on_updated(u2);
+            }
+        };
+        match &self.live {
+            Some(live) => walk_live(self.view, u, live, scratch, apply),
+            None => walk_static(self.view, u, scratch, apply),
         }
     }
 
-    fn live(&self) -> bool {
-        self.live.is_some()
+    /// One parallel round: [`PeelGraph::peel_vertex`] over `batch`, each
+    /// task checking one scratch out. Returns the vertices whose support
+    /// changed, repeats allowed and in any order, and the wedges walked.
+    pub(crate) fn peel_batch(
+        &self,
+        batch: &[VertexId],
+        floor: u64,
+        support: &SupportVec,
+    ) -> (Vec<VertexId>, u64) {
+        batch
+            .par_iter()
+            .fold(
+                || (Vec::new(), 0u64, self.scratch()),
+                |(mut updated, wedges, mut scratch), &u| {
+                    let w =
+                        self.peel_vertex(u, floor, support, &mut scratch, |u2| updated.push(u2));
+                    (updated, wedges + w, scratch)
+                },
+            )
+            .map(|(updated, wedges, _)| (updated, wedges))
+            .reduce(
+                || (Vec::new(), 0),
+                |(mut a, wa), (mut b, wb)| {
+                    a.append(&mut b);
+                    (a, wa + wb)
+                },
+            )
     }
 
-    /// Binary search by rank in `p`'s rank-sorted list.
-    #[inline]
-    fn adjacent(&self, p: VertexId, s: VertexId) -> bool {
-        let rank = self.rank_secondary(s);
-        self.nbrs_primary(p)
-            .binary_search_by_key(&rank, |&x| self.rank_secondary(x))
-            .is_ok()
+    /// Checks a scratch out of the graph's pool.
+    pub(crate) fn scratch(&self) -> ScratchGuard<'_, PeelScratch> {
+        self.scratch.acquire()
     }
 }
 
@@ -402,6 +353,7 @@ impl WedgeAccess for PeelGraph {
 mod tests {
     use super::*;
     use bigraph::builder::from_edges;
+    use bigraph::{BipartiteCsr, RankedGraph, Side};
 
     fn k33() -> BipartiteCsr {
         let mut e = Vec::new();
@@ -413,23 +365,16 @@ mod tests {
         from_edges(3, 3, &e).unwrap()
     }
 
-    fn alive_vec(n: usize) -> Vec<AtomicBool> {
-        (0..n).map(|_| AtomicBool::new(true)).collect()
-    }
-
     #[test]
     fn peel_vertex_applies_shared_butterflies() {
         let g = k33();
-        let view = g.view(Side::U);
+        let mut pg = PeelGraph::new(g.view(Side::U), false);
         // Each u in K(3,3) has 6 butterflies.
         let support = SupportVec::from_counts(&[6, 6, 6]);
-        let alive = alive_vec(3);
-        alive[0].store(false, Ordering::Relaxed); // u0 being peeled
+        pg.kill_batch(&[0]); // u0 being peeled
         let mut scratch = PeelScratch::new(3);
         let mut updated = Vec::new();
-        let wedges = peel_vertex(&view, 0, 0, &support, &alive, &mut scratch, |u| {
-            updated.push(u)
-        });
+        let wedges = pg.peel_vertex(0, 0, &support, &mut scratch, |u| updated.push(u));
         // u0 shares C(3,2)=3 butterflies with each of u1, u2.
         assert_eq!(support.get(1), 3);
         assert_eq!(support.get(2), 3);
@@ -445,16 +390,12 @@ mod tests {
     #[test]
     fn peel_vertex_respects_floor_and_dead() {
         let g = k33();
-        let view = g.view(Side::U);
+        let mut pg = PeelGraph::new(g.view(Side::U), false);
         let support = SupportVec::from_counts(&[6, 6, 6]);
-        let alive = alive_vec(3);
-        alive[0].store(false, Ordering::Relaxed);
-        alive[2].store(false, Ordering::Relaxed); // dead: no update
+        pg.kill_batch(&[0, 2]); // u0 being peeled, u2 dead: no update
         let mut scratch = PeelScratch::new(3);
         let mut updated = Vec::new();
-        peel_vertex(&view, 0, 5, &support, &alive, &mut scratch, |u| {
-            updated.push(u)
-        });
+        pg.peel_vertex(0, 5, &support, &mut scratch, |u| updated.push(u));
         assert_eq!(support.get(1), 5, "clamped at floor");
         assert_eq!(support.get(2), 6, "dead vertex untouched");
         assert_eq!(updated, vec![1]);
@@ -462,68 +403,65 @@ mod tests {
 
     #[test]
     fn peel_vertex_probes_a_hub_instead_of_scanning_it() {
-        // u0 sits on v0 (a hub holding u0..u9), v1 = {u0, u1, u2} and
-        // v2 = {u0, u1, u3}. Once u0 is killed, v0's live list (9) is
-        // longer than v1's and v2's together (4).
-        let mut edges: Vec<(u32, u32)> = (0..10).map(|u| (u, 0)).collect();
-        edges.extend([(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (3, 2)]);
-        let g = from_edges(10, 3, &edges).unwrap();
-        let counts = butterfly::count_graph(&g);
-        let peel = |graph: &dyn Fn(&SupportVec, &mut PeelScratch) -> u64| {
-            let support = SupportVec::from_counts(&counts.u);
-            let wedges = graph(&support, &mut PeelScratch::new(10));
-            (support.snapshot(), wedges)
-        };
-        let mut live = PeelGraph::from_csr(&g, Side::U, true);
-        live.kill_batch(&[0]);
-        let (live_support, live_wedges) = peel(&|support, scratch| {
-            peel_vertex(&live, 0, 0, support, live.alive_flags(), scratch, |_| {})
-        });
-        let mut fixed = PeelGraph::from_csr(&g, Side::U, false);
-        fixed.kill_batch(&[0]);
-        let (static_support, static_wedges) = peel(&|support, scratch| {
-            peel_vertex(&fixed, 0, 0, support, fixed.alive_flags(), scratch, |_| {})
-        });
-        assert_eq!(live_support, static_support);
-        // u1 shares all three V vertices with u0, u2 and u3 two each.
-        let mut expected = counts.u.clone();
-        for (u, shared) in [(1, 3), (2, 1), (3, 1)] {
-            expected[u] -= shared;
+        // u0 sits on a hub holding u0..u9, on a = {u0, u1, u2} and on
+        // b = {u0, u1, u3}. Once u0 is killed, the hub's live list (9) is
+        // longer than a's and b's together (4). The hub is v0 first, then
+        // v2: the highest id, but the lowest rank, so a probe that mixed up
+        // id order and rank order would miss it.
+        for (hub, a, b) in [(0, 1, 2), (2, 0, 1)] {
+            let mut edges: Vec<(u32, u32)> = (0..10).map(|u| (u, hub)).collect();
+            edges.extend([(0, a), (1, a), (2, a), (0, b), (1, b), (3, b)]);
+            let g = from_edges(10, 3, &edges).unwrap();
+            let ranked = RankedGraph::from_csr(&g);
+            assert!((0..3).all(|v| ranked.rank_v(hub) <= ranked.rank_v(v)));
+            let counts = butterfly::count_graph(&g);
+            let peel = |dgm: bool| {
+                let mut pg = PeelGraph::new(g.view(Side::U), dgm);
+                pg.kill_batch(&[0]);
+                let support = SupportVec::from_counts(&counts.u);
+                let mut scratch = PeelScratch::new(10);
+                let wedges = pg.peel_vertex(0, 0, &support, &mut scratch, |_| {});
+                (support.snapshot(), wedges)
+            };
+            let (live_support, live_wedges) = peel(true);
+            let (static_support, static_wedges) = peel(false);
+            assert_eq!(live_support, static_support, "hub v{hub}");
+            // u1 shares all three V vertices with u0, u2 and u3 two each.
+            let mut expected = counts.u.clone();
+            for (u, shared) in [(1, 3), (2, 1), (3, 1)] {
+                expected[u] -= shared;
+            }
+            assert_eq!(live_support, expected, "hub v{hub}");
+            // Static: every list in full (9 + 2 + 2). Live: a and b (2 + 2),
+            // plus one probe per touched vertex (u1, u2, u3); the hub is
+            // not scanned.
+            assert_eq!(static_wedges, 13, "hub v{hub}");
+            assert_eq!(live_wedges, 2 + 2 + 3, "hub v{hub}");
         }
-        assert_eq!(live_support, expected);
-        // Static: every list in full (9 + 2 + 2). Live: v1 and v2 (2 + 2),
-        // plus one probe per touched vertex (u1, u2, u3); v0 is not scanned.
-        assert_eq!(static_wedges, 13);
-        assert_eq!(live_wedges, 2 + 2 + 3);
     }
 
     #[test]
-    fn kill_batch_keeps_live_lists_alive_and_rank_sorted() {
+    fn kill_batch_keeps_live_lists_alive_and_id_sorted() {
         let g = bigraph::gen::zipf(60, 40, 400, 0.5, 1.0, 5);
         for side in [Side::U, Side::V] {
-            let mut pg = PeelGraph::from_csr(&g, side, true);
-            let ranked = RankedGraph::from_csr(&g);
-            let rank = |p: VertexId| match side {
-                Side::U => ranked.rank_u(p),
-                Side::V => ranked.rank_v(p),
-            };
-            let n = pg.num_primary() as VertexId;
+            let view = g.view(side);
+            let mut pg = PeelGraph::new(view, true);
+            let n = view.num_primary() as VertexId;
             let batches: [Vec<VertexId>; 2] = [
                 (0..n).step_by(3).collect(),
                 (0..n).filter(|p| p % 3 != 0 && p % 4 == 1).collect(),
             ];
             for batch in &batches {
                 pg.kill_batch(batch);
-                for s in 0..g.view(side).num_secondary() as VertexId {
-                    let list = pg.nbrs_secondary(s);
+                for s in 0..view.num_secondary() as VertexId {
+                    let list = pg.secondary(s);
                     assert!(list.iter().all(|&p| pg.is_alive(p)), "side {side}");
-                    assert!(list.windows(2).all(|w| rank(w[0]) < rank(w[1])));
-                    let want = g.view(side).deg_secondary(s)
-                        - g.view(side)
-                            .neighbors_secondary(s)
-                            .iter()
-                            .filter(|&&p| !pg.is_alive(p))
-                            .count();
+                    assert!(list.windows(2).all(|w| w[0] < w[1]), "side {side}");
+                    let want = view
+                        .neighbors_secondary(s)
+                        .iter()
+                        .filter(|&&p| pg.is_alive(p))
+                        .count();
                     assert_eq!(list.len(), want, "side {side}, list {s}");
                 }
             }
@@ -533,40 +471,23 @@ mod tests {
     #[test]
     fn peelgraph_v_side() {
         let g = from_edges(2, 3, &[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]).unwrap();
-        let mut pg = PeelGraph::from_csr(&g, Side::V, true);
-        assert_eq!(pg.num_primary(), 3);
+        let mut pg = PeelGraph::new(g.view(Side::V), true);
+        assert_eq!(pg.alive_flags().len(), 3);
         pg.kill_batch(&[2]);
         // u0 (a secondary vertex in this view) lost its edge to v2.
-        assert_eq!(pg.nbrs_secondary(0).len(), 2);
+        assert_eq!(pg.secondary(0), &[0, 1]);
         assert!(pg.is_alive(0) && pg.is_alive(1) && !pg.is_alive(2));
-        assert_eq!(pg.live_count(), 2);
     }
 
     #[test]
     fn peel_cost_tracks_current_structure() {
         let g = k33();
         for dgm in [true, false] {
-            let mut pg = PeelGraph::from_csr(&g, Side::U, dgm);
+            let mut pg = PeelGraph::new(g.view(Side::U), dgm);
             assert_eq!(pg.peel_cost(0), 9); // 3 neighbours × degree 3
             pg.kill_batch(&[2]);
             // Live lists dropped u2; static lists keep it.
             assert_eq!(pg.peel_cost(0), if dgm { 6 } else { 9 });
         }
-    }
-
-    #[test]
-    fn recount_live_matches_fresh_count() {
-        // Counting on the original ranks with dead vertices filtered must
-        // equal a from-scratch count of the live subgraph.
-        let g = bigraph::gen::zipf(50, 30, 300, 0.5, 0.9, 6);
-        let mut pg = PeelGraph::from_csr(&g, Side::U, true);
-        let dead: Vec<u32> = (0..50).step_by(3).collect();
-        pg.kill_batch(&dead);
-        let stale = pg.recount_live();
-        let alive_u: Vec<bool> = (0..50).map(|u| u % 3 != 0).collect();
-        let fresh_csr = bigraph::compact::compact(&g, &alive_u, &[true; 30]);
-        let fresh = butterfly::count_graph(&fresh_csr);
-        assert_eq!(stale.u, fresh.u);
-        assert_eq!(stale.v, fresh.v);
     }
 }

@@ -119,8 +119,87 @@ fn wedge_accounting_is_consistent() {
     // wedge workload (it peels every vertex once on the static graph),
     // and FD at most that (induced subgraphs shrink).
     let g = gen::zipf(70, 35, 420, 0.5, 0.9, 31);
-    let bup_wedges = receipt::bup::bup_peel_wedges(g.view(Side::U));
+    let bup_wedges = bigraph::stats::total_primary_wedges(g.view(Side::U));
     let r = tip_decompose(&g, Side::U, &Config::default().baseline_variant());
     assert_eq!(r.metrics.wedges_cd, bup_wedges);
     assert!(r.metrics.wedges_fd <= bup_wedges);
+}
+
+#[test]
+fn work_counters_are_pinned() {
+    // Table 3's machine-independent counters on fixed graphs, under every
+    // HUC×DGM toggle: a change to any peel path that moves one shows here.
+    // Columns: side, P; ParB ρ, peel wedges (BUP's, which ParB's equal:
+    // both walk every wedge from both ends), count wedges, CD ρ, FD
+    // wedges, subsets; CD wedges under HUC+DGM, HUC only, neither, DGM
+    // only; re-counts under HUC+DGM and HUC only (0 with HUC off).
+    let small = gen::zipf(400, 200, 1500, 0.6, 0.9, 11);
+    // The shape of perfbench's `tip-static` workload.
+    let tip_static = gen::zipf(7000, 3000, 16000, 0.55, 1.25, 1);
+    let rows = [
+        (
+            &small,
+            Side::U,
+            8,
+            [73, 45_858, 3_686, 19, 1_553, 8],
+            [10_060, 40_944, 45_858, 7_855],
+            [1, 1],
+        ),
+        (
+            &small,
+            Side::V,
+            8,
+            [47, 7_344, 3_686, 10, 410, 7],
+            [2_504, 7_344, 7_344, 2_504],
+            [0, 0],
+        ),
+        (
+            &tip_static,
+            Side::U,
+            150,
+            [322, 11_827_916, 23_612, 157, 374_400, 76],
+            [656_498, 2_608_864, 11_827_916, 792_012],
+            [7, 42],
+        ),
+    ];
+    for (
+        g,
+        side,
+        p,
+        [parb_rounds, peel_wedges, count_wedges, rho, fd_wedges, subsets],
+        cd_wedges,
+        recounts,
+    ) in rows
+    {
+        let at = format!("{}x{} side {side}", g.num_u(), g.num_v());
+        let parb = parb::parb_decompose(g, side);
+        assert_eq!(parb.rounds, parb_rounds, "{at}: ParB rounds");
+        assert_eq!(parb.wedges_peel, peel_wedges, "{at}: ParB wedges");
+        assert_eq!(
+            bup::bup_decompose(g, side, 4).wedges_peel,
+            peel_wedges,
+            "{at}: BUP wedges"
+        );
+        let base = Config::default().with_partitions(p);
+        let toggles = [
+            base.clone(),
+            base.clone().without_dgm(),
+            base.clone().baseline_variant(),
+            Config { huc: false, ..base },
+        ];
+        for (i, cfg) in toggles.iter().enumerate() {
+            let m = tip_decompose(g, side, cfg).metrics;
+            let at = format!("{at}, huc {}, dgm {}", cfg.huc, cfg.dgm);
+            assert_eq!(m.wedges_count, count_wedges, "{at}: count wedges");
+            assert_eq!(m.wedges_cd, cd_wedges[i], "{at}: CD wedges");
+            assert_eq!(
+                m.recounts,
+                recounts.get(i).copied().unwrap_or(0),
+                "{at}: re-counts"
+            );
+            assert_eq!(m.sync_rounds, rho, "{at}: CD rounds");
+            assert_eq!(m.wedges_fd, fd_wedges, "{at}: FD wedges");
+            assert_eq!(m.partitions_used as u64, subsets, "{at}: subsets");
+        }
+    }
 }
