@@ -61,11 +61,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of raw (pre-dedup) edges staged so far.
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the dual-CSR graph: validates endpoints, sorts, dedups, then
     /// materializes both adjacency directions via counting sort.
     pub fn build(self) -> Result<BipartiteCsr, BuildError> {
@@ -183,12 +178,5 @@ mod tests {
         let g = from_edges(5, 2, &[(4, 0), (2, 0), (0, 0), (3, 1), (1, 1)]).unwrap();
         assert_eq!(g.neighbors_v(0), &[0, 2, 4]);
         assert_eq!(g.neighbors_v(1), &[1, 3]);
-    }
-
-    #[test]
-    fn staged_edges_counts_raw() {
-        let b = GraphBuilder::new(2, 2).add_edge(0, 0).add_edge(0, 0);
-        assert_eq!(b.staged_edges(), 2);
-        assert_eq!(b.build().unwrap().num_edges(), 1);
     }
 }

@@ -5,10 +5,12 @@
 //! `O(m log m)` regardless of batch size, so [`DynamicBigraph`] keeps the
 //! last compacted CSR as an immutable *base* plus two sorted overlays —
 //! edges added since, edges removed since — and answers adjacency queries
-//! through a sorted merge of base and overlay. When the overlay grows past
+//! through a sorted merge of base and overlay. Once the overlay grows past
 //! a configurable fraction of the base (the same traversed-work-vs-rebuild
-//! trade DGM makes in §4.2), the graph recompacts: the overlay is folded
-//! into a fresh CSR and cleared.
+//! trade DGM makes in §4.2), [`DynamicBigraph::needs_compaction`] says so,
+//! and the owner folds the overlay into the CSR it materialized
+//! ([`DynamicBigraph::compact`]): the butterfly index does, after it has
+//! patched its base-aligned per-edge counts.
 //!
 //! Sides only grow (ops may reference vertices beyond the current sizes);
 //! vertex ids are stable for the lifetime of the graph, which is what lets
@@ -57,8 +59,9 @@ pub struct BatchApplication {
     /// No-op count: inserts of present edges, deletes of absent edges, and
     /// earlier ops on an edge that a later op in the same batch overrode.
     pub skipped: usize,
-    /// The batch pushed the overlay past the threshold and the base CSR
-    /// was rebuilt.
+    /// The batch pushed the overlay past the threshold and the owner
+    /// rebuilt the base CSR ([`DynamicBigraph::apply_batch`] itself never
+    /// compacts, so it leaves this `false`).
     pub compacted: bool,
 }
 
@@ -183,18 +186,6 @@ impl DynamicBigraph {
         base - removed + added
     }
 
-    /// Degree of `v`; see [`Self::degree_u`].
-    pub fn degree_v(&self, v: VertexId) -> usize {
-        let base = if (v as usize) < self.base.num_v() {
-            self.base.neighbors_v(v).len()
-        } else {
-            0
-        };
-        let removed = self.removed_t.range((v, 0)..=(v, VertexId::MAX)).count();
-        let added = self.added_t.range((v, 0)..=(v, VertexId::MAX)).count();
-        base - removed + added
-    }
-
     /// The base CSR's adjacency slice for `u`, available only when the
     /// overlay holds no entry for `u` (so the slice *is* the current
     /// adjacency). Galloping intersection needs random access; callers
@@ -215,28 +206,6 @@ impl DynamicBigraph {
         }
         Some(if (u as usize) < self.base.num_u() {
             self.base.neighbors_u(u)
-        } else {
-            &[]
-        })
-    }
-
-    /// V-side counterpart of [`Self::base_only_neighbors_u`].
-    pub fn base_only_neighbors_v(&self, v: VertexId) -> Option<&[VertexId]> {
-        let touched = self
-            .added_t
-            .range((v, 0)..=(v, VertexId::MAX))
-            .next()
-            .is_some()
-            || self
-                .removed_t
-                .range((v, 0)..=(v, VertexId::MAX))
-                .next()
-                .is_some();
-        if touched {
-            return None;
-        }
-        Some(if (v as usize) < self.base.num_v() {
-            self.base.neighbors_v(v)
         } else {
             &[]
         })
@@ -296,27 +265,14 @@ impl DynamicBigraph {
         result
     }
 
-    /// Classifies a batch via [`Self::classify_batch`] and applies it.
-    /// Side sizes grow to cover every effectively-inserted id.
+    /// Classifies a batch via [`Self::classify_batch`] and applies it to
+    /// the overlay. Side sizes grow to cover every effectively-inserted
+    /// id. The base CSR, and with it every [`BipartiteCsr::edge_index`]
+    /// alignment, is left untouched: incremental layers that keep
+    /// base-aligned flat state patch it, then check
+    /// [`Self::needs_compaction`] and realign across [`Self::compact`].
     pub fn apply_batch(&mut self, ops: &[EdgeOp]) -> BatchApplication {
-        let mut result = self.apply_ops(ops);
-        if self.needs_compaction() {
-            self.compact();
-            result.compacted = true;
-        }
-        result
-    }
-
-    /// [`Self::apply_batch`] without the threshold-triggered compaction:
-    /// the overlay absorbs the batch and the base CSR (and therefore every
-    /// [`BipartiteCsr::edge_index`] alignment) is left untouched.
-    /// Incremental layers that keep base-aligned flat state apply the
-    /// batch through this, patch their state, then check
-    /// [`Self::needs_compaction`] and realign across an explicit
-    /// [`Self::compact`].
-    pub fn apply_ops(&mut self, ops: &[EdgeOp]) -> BatchApplication {
-        let mut result = self.classify_batch(ops);
-        result.compacted = false;
+        let result = self.classify_batch(ops);
         for &(u, v) in &result.inserted {
             self.num_u = self.num_u.max(u as usize + 1);
             self.num_v = self.num_v.max(v as usize + 1);
@@ -363,8 +319,19 @@ impl DynamicBigraph {
     }
 
     /// Folds the overlay into a fresh base CSR (the DGM-style rebuild).
-    pub fn compact(&mut self) {
-        self.base = self.materialize();
+    /// `materialized` is [`Self::materialize`]'s graph for the current
+    /// state, which the caller usually needs anyway.
+    pub fn compact(&mut self, materialized: BipartiteCsr) {
+        assert_eq!(
+            (
+                materialized.num_u(),
+                materialized.num_v(),
+                materialized.num_edges()
+            ),
+            (self.num_u, self.num_v, self.num_edges()),
+            "compact takes the current graph's materialization"
+        );
+        self.base = materialized;
         self.added.clear();
         self.added_t.clear();
         self.removed.clear();
@@ -581,10 +548,13 @@ mod tests {
     fn threshold_triggers_compaction() {
         // Base has 5 edges; threshold 0.2 → overlay of 2 exceeds 1.0.
         let mut g = DynamicBigraph::with_threshold(sample(), 0.2);
-        let r = g.apply_batch(&[EdgeOp::Insert(2, 0)]);
-        assert!(!r.compacted, "1 overlay entry ≤ 0.2·5");
+        g.apply_batch(&[EdgeOp::Insert(2, 0)]);
+        assert!(!g.needs_compaction(), "1 overlay entry ≤ 0.2·5");
         let r = g.apply_batch(&[EdgeOp::Insert(2, 1)]);
-        assert!(r.compacted);
+        assert!(!r.compacted, "applying never compacts");
+        assert!(g.needs_compaction());
+        g.compact(g.materialize());
+        assert!(!g.needs_compaction());
         assert_eq!(g.overlay_len(), 0);
         assert_eq!(g.compactions(), 1);
         assert_eq!(g.num_edges(), 7);
@@ -623,7 +593,11 @@ mod tests {
             let materialized: BTreeSet<_> = m.edges().collect();
             assert_eq!(materialized, reference);
             assert_eq!(dynamic.num_edges(), reference.len());
+            if dynamic.needs_compaction() {
+                dynamic.compact(m);
+            }
         }
+        assert!(dynamic.compactions() > 0, "the schedule must compact");
     }
 
     #[test]
@@ -643,19 +617,11 @@ mod tests {
                 base_only_seen += 1;
             }
         }
-        for v in 0..g.num_v() as VertexId {
-            let merged: Vec<_> = g.neighbors_v(v).collect();
-            assert_eq!(g.degree_v(v), merged.len(), "degree_v({v})");
-            if let Some(slice) = g.base_only_neighbors_v(v) {
-                assert_eq!(slice, &merged[..], "base_only_neighbors_v({v})");
-            }
-        }
         assert!(base_only_seen > 0, "some vertices must be overlay-free");
         // An overlay-touched vertex must refuse the fast slice.
         let (u, v) = (0, g.num_v() as VertexId + 1);
         g.apply_batch(&[EdgeOp::Insert(u, v)]);
         assert!(g.base_only_neighbors_u(u).is_none());
-        assert!(g.base_only_neighbors_v(v).is_none());
     }
 
     #[test]

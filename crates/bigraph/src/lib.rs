@@ -9,16 +9,18 @@
 //! Modules:
 //! * [`csr`] — the core [`BipartiteCsr`] storage and [`SideGraph`] view.
 //! * [`builder`] — edge-list ingestion with deduplication and validation.
-//! * [`relabel`] — global degree-descending ranking with rank-sorted
-//!   adjacency (the cache-efficient reordering of Wang et al. that
-//!   Algorithm 1 of the paper relies on).
+//! * [`relabel`] — one degree-descending ranking of all of `W = U ∪ V`
+//!   and one rank-sorted adjacency over its global ids (U-vertex `u` is
+//!   `u`, V-vertex `v` is `num_u + v`): the cache-efficient reordering of
+//!   Wang et al. that Algorithm 1 of the paper runs one loop over.
 //! * [`induced`] — subgraphs induced on a subset of the primary side
 //!   (RECEIPT FD peels each `G_i = G[U_i ∪ V]` independently).
 //! * [`compact`] — parallel edge compaction: builds the live subgraph
 //!   from scratch, the oracle that RECEIPT's Dynamic Graph Maintenance
 //!   (§4.2), which drops peeled vertices in place, is tested against.
-//! * [`dynamic`] — batch-dynamic graphs: a delta overlay over the CSR with
-//!   threshold-triggered recompaction, plus the `tipdecomp stream` batch
+//! * [`dynamic`] — batch-dynamic graphs: a delta overlay over the CSR that
+//!   reports when it has outgrown its compaction threshold and folds into
+//!   the CSR its owner materialized, plus the `tipdecomp stream` batch
 //!   file format and seeded insert/delete schedules.
 //! * [`gen`] — seeded synthetic generators (uniform, Zipf configuration
 //!   model, planted bicliques, affiliation model).

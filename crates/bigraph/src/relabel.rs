@@ -1,31 +1,29 @@
 //! Degree-descending global ranking (the vertex-priority order used by
 //! butterfly counting, Algorithm 1 lines 1–3).
 //!
-//! Chiba–Nishizeki's quadrangle counting bounds work by always charging a
-//! wedge to its lowest-priority endpoint; Wang et al. show that relabeling
+//! Chiba–Nishizeki's quadrangle counting bounds work by charging each
+//! butterfly to its highest-priority vertex, the one of lowest rank: a
+//! wedge is walked only from a start vertex to an endpoint ranked below
+//! both the start and the middle. Wang et al. show that relabeling
 //! vertices in decreasing-degree order and sorting adjacency by the new
-//! labels makes the inner-loop `break` cache-friendly. We keep side-local
-//! ids but materialize a *global rank* over `W = U ∪ V` (rank 0 = highest
-//! degree) and adjacency copies sorted by neighbour rank.
+//! labels makes the inner-loop cut-off cache-friendly. We keep ids but
+//! number `W = U ∪ V` globally (U-vertex `u` is `u`, V-vertex `v` is
+//! `num_u + v`), rank all of `W` at once (rank 0 = highest degree) and
+//! store one adjacency over `W` with every list sorted by neighbour rank.
 
 use crate::csr::BipartiteCsr;
 use crate::VertexId;
 
-/// A [`BipartiteCsr`] companion with rank-sorted adjacency.
+/// A [`BipartiteCsr`] companion: one rank-sorted adjacency over the global
+/// ids of `W = U ∪ V`.
 #[derive(Debug, Clone)]
 pub struct RankedGraph {
     nu: usize,
-    nv: usize,
-    /// Global rank (0 = highest degree in `W`) per U-vertex.
-    rank_u: Vec<u32>,
-    /// Global rank per V-vertex.
-    rank_v: Vec<u32>,
-    u_offsets: Vec<usize>,
-    /// V-neighbours of each U-vertex, ascending by `rank_v`.
-    u_adj: Vec<VertexId>,
-    v_offsets: Vec<usize>,
-    /// U-neighbours of each V-vertex, ascending by `rank_u`.
-    v_adj: Vec<VertexId>,
+    /// Global rank (0 = highest degree in `W`) per global id.
+    rank: Vec<u32>,
+    offsets: Vec<usize>,
+    /// Neighbours of each vertex as global ids, ascending by `rank`.
+    adj: Vec<VertexId>,
 }
 
 impl RankedGraph {
@@ -37,17 +35,23 @@ impl RankedGraph {
     /// each vertex to its neighbours' lists leaves every list rank-sorted.
     pub fn from_csr(g: &BipartiteCsr) -> Self {
         let nu = g.num_u();
-        let nv = g.num_v();
-        let n = nu + nv;
+        let n = nu + g.num_v();
 
-        // Global ids: U-vertex u -> u, V-vertex v -> nu + v.
-        let deg = |w: usize| -> usize {
-            if w < nu {
-                g.deg_u(w as VertexId)
-            } else {
-                g.deg_v((w - nu) as VertexId)
-            }
-        };
+        // Each list keeps its CSR length, so the offsets come first and
+        // every degree is read from them.
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut at = 0;
+        for u in 0..nu {
+            at += g.deg_u(u as VertexId);
+            offsets.push(at);
+        }
+        for v in 0..g.num_v() {
+            at += g.deg_v(v as VertexId);
+            offsets.push(at);
+        }
+        let deg = |w: usize| offsets[w + 1] - offsets[w];
+
         // Bucket key 0 is the highest degree; `start[k]` becomes the first
         // rank of bucket `k`, and filling buckets in id order breaks ties.
         let max_deg = (0..n).map(deg).max().unwrap_or(0);
@@ -58,62 +62,37 @@ impl RankedGraph {
         for k in 1..start.len() {
             start[k] += start[k - 1];
         }
-        let mut order = vec![0u32; n];
+        let mut order = vec![0 as VertexId; n];
         for w in 0..n {
             let slot = &mut start[max_deg - deg(w)];
-            order[*slot] = w as u32;
+            order[*slot] = w as VertexId;
             *slot += 1;
         }
-
-        let mut rank_u = vec![0u32; nu];
-        let mut rank_v = vec![0u32; nv];
-        for (rank, &w) in order.iter().enumerate() {
-            if (w as usize) < nu {
-                rank_u[w as usize] = rank as u32;
-            } else {
-                rank_v[(w as usize) - nu] = rank as u32;
-            }
+        let mut rank = vec![0u32; n];
+        for (r, &w) in order.iter().enumerate() {
+            rank[w as usize] = r as u32;
         }
 
-        // Offsets match the source CSR (same degree sequence, re-sorted
-        // within each list).
-        let mut u_offsets = vec![0usize; nu + 1];
-        for u in 0..nu {
-            u_offsets[u + 1] = u_offsets[u] + g.deg_u(u as VertexId);
-        }
-        let mut v_offsets = vec![0usize; nv + 1];
-        for v in 0..nv {
-            v_offsets[v + 1] = v_offsets[v] + g.deg_v(v as VertexId);
-        }
         // Scatter each vertex, in rank order, onto its neighbours' lists.
-        let mut u_adj = vec![0 as VertexId; g.num_edges()];
-        let mut v_adj = vec![0 as VertexId; g.num_edges()];
-        let mut u_next = u_offsets[..nu].to_vec();
-        let mut v_next = v_offsets[..nv].to_vec();
+        let mut adj = vec![0 as VertexId; at];
+        let mut next = offsets[..n].to_vec();
         for &w in &order {
-            if (w as usize) < nu {
-                for &v in g.neighbors_u(w) {
-                    v_adj[v_next[v as usize]] = w;
-                    v_next[v as usize] += 1;
-                }
-            } else {
-                let v = w - nu as u32;
-                for &u in g.neighbors_v(v) {
-                    u_adj[u_next[u as usize]] = v;
-                    u_next[u as usize] += 1;
-                }
+            let (side_ids, shift) = match (w as usize).checked_sub(nu) {
+                None => (g.neighbors_u(w), nu),
+                Some(v) => (g.neighbors_v(v as VertexId), 0),
+            };
+            for &x in side_ids {
+                let x = x as usize + shift;
+                adj[next[x]] = w;
+                next[x] += 1;
             }
         }
 
         RankedGraph {
             nu,
-            nv,
-            rank_u,
-            rank_v,
-            u_offsets,
-            u_adj,
-            v_offsets,
-            v_adj,
+            rank,
+            offsets,
+            adj,
         }
     }
 
@@ -122,43 +101,29 @@ impl RankedGraph {
     }
 
     pub fn num_v(&self) -> usize {
-        self.nv
+        self.rank.len() - self.nu
+    }
+
+    /// `|W| = |U| + |V|`, the bound of the global ids.
+    pub fn num_vertices(&self) -> usize {
+        self.rank.len()
     }
 
     pub fn num_edges(&self) -> usize {
-        self.u_adj.len()
+        self.adj.len() / 2
     }
 
+    /// Global rank of global id `w` (0 = highest degree).
     #[inline]
-    pub fn rank_u(&self, u: VertexId) -> u32 {
-        self.rank_u[u as usize]
+    pub fn rank(&self, w: VertexId) -> u32 {
+        self.rank[w as usize]
     }
 
+    /// Neighbours of global id `w` as global ids, ascending by rank
+    /// (highest degree first).
     #[inline]
-    pub fn rank_v(&self, v: VertexId) -> u32 {
-        self.rank_v[v as usize]
-    }
-
-    /// V-neighbours of `u`, ascending by rank (highest degree first).
-    #[inline]
-    pub fn neighbors_u(&self, u: VertexId) -> &[VertexId] {
-        &self.u_adj[self.u_offsets[u as usize]..self.u_offsets[u as usize + 1]]
-    }
-
-    /// U-neighbours of `v`, ascending by rank.
-    #[inline]
-    pub fn neighbors_v(&self, v: VertexId) -> &[VertexId] {
-        &self.v_adj[self.v_offsets[v as usize]..self.v_offsets[v as usize + 1]]
-    }
-
-    #[inline]
-    pub fn deg_u(&self, u: VertexId) -> usize {
-        self.u_offsets[u as usize + 1] - self.u_offsets[u as usize]
-    }
-
-    #[inline]
-    pub fn deg_v(&self, v: VertexId) -> usize {
-        self.v_offsets[v as usize + 1] - self.v_offsets[v as usize]
+    pub fn neighbors(&self, w: VertexId) -> &[VertexId] {
+        &self.adj[self.offsets[w as usize]..self.offsets[w as usize + 1]]
     }
 }
 
@@ -174,8 +139,7 @@ mod tests {
     #[test]
     fn ranks_are_a_permutation() {
         let r = ranked(3, 3, &[(0, 0), (0, 1), (1, 0), (2, 2)]);
-        let mut all: Vec<u32> = (0..3).map(|u| r.rank_u(u)).collect();
-        all.extend((0..3).map(|v| r.rank_v(v)));
+        let mut all: Vec<u32> = (0..6).map(|w| r.rank(w)).collect();
         all.sort_unstable();
         assert_eq!(all, (0..6).collect::<Vec<_>>());
     }
@@ -184,21 +148,17 @@ mod tests {
     fn higher_degree_gets_lower_rank() {
         // u0 has degree 3, everything else lower.
         let r = ranked(2, 3, &[(0, 0), (0, 1), (0, 2), (1, 0)]);
-        assert_eq!(r.rank_u(0), 0);
-        // v0 has degree 2, the unique second-highest.
-        assert_eq!(r.rank_v(0), 1);
+        assert_eq!(r.rank(0), 0);
+        // v0 (global id 2) has degree 2, the unique second-highest.
+        assert_eq!(r.rank(2), 1);
     }
 
     #[test]
     fn adjacency_sorted_by_rank() {
         let r = ranked(3, 3, &[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]);
-        for u in 0..3u32 {
-            let ranks: Vec<u32> = r.neighbors_u(u).iter().map(|&v| r.rank_v(v)).collect();
-            assert!(ranks.windows(2).all(|w| w[0] < w[1]), "u{u}: {ranks:?}");
-        }
-        for v in 0..3u32 {
-            let ranks: Vec<u32> = r.neighbors_v(v).iter().map(|&u| r.rank_u(u)).collect();
-            assert!(ranks.windows(2).all(|w| w[0] < w[1]), "v{v}: {ranks:?}");
+        for w in 0..6u32 {
+            let ranks: Vec<u32> = r.neighbors(w).iter().map(|&x| r.rank(x)).collect();
+            assert!(ranks.windows(2).all(|p| p[0] < p[1]), "w{w}: {ranks:?}");
         }
     }
 
@@ -206,11 +166,15 @@ mod tests {
     fn degrees_preserved() {
         let g = from_edges(4, 2, &[(0, 0), (1, 0), (1, 1), (3, 1)]).unwrap();
         let r = RankedGraph::from_csr(&g);
+        assert_eq!((r.num_u(), r.num_v(), r.num_vertices()), (4, 2, 6));
         for u in 0..4u32 {
-            assert_eq!(r.deg_u(u), g.deg_u(u));
+            assert_eq!(r.neighbors(u).len(), g.deg_u(u));
+            // U-vertices' neighbours are V-vertices.
+            assert!(r.neighbors(u).iter().all(|&x| x >= 4));
         }
         for v in 0..2u32 {
-            assert_eq!(r.deg_v(v), g.deg_v(v));
+            assert_eq!(r.neighbors(4 + v).len(), g.deg_v(v));
+            assert!(r.neighbors(4 + v).iter().all(|&x| x < 4));
         }
         assert_eq!(r.num_edges(), g.num_edges());
     }
@@ -220,62 +184,40 @@ mod tests {
         let edges = [(0, 0), (1, 1), (2, 2)];
         let a = ranked(3, 3, &edges);
         let b = ranked(3, 3, &edges);
-        for u in 0..3u32 {
-            assert_eq!(a.rank_u(u), b.rank_u(u));
-        }
+        assert_eq!(a.rank, b.rank);
         // All degree-1: U vertices rank before V by tie-break (global id).
-        assert!(a.rank_u(2) < a.rank_v(0));
+        assert!(a.rank(2) < a.rank(3));
     }
 
     /// The ranking by comparison sorts: `W` by (degree descending, global
     /// id ascending), then every list by neighbour rank.
     fn sorted_reference(g: &BipartiteCsr) -> RankedGraph {
-        let (nu, nv) = (g.num_u(), g.num_v());
-        let deg = |w: u32| {
-            if (w as usize) < nu {
-                g.deg_u(w)
-            } else {
-                g.deg_v(w - nu as u32)
-            }
-        };
-        let mut order: Vec<u32> = (0..(nu + nv) as u32).collect();
-        order.sort_by(|&a, &b| deg(b).cmp(&deg(a)).then(a.cmp(&b)));
-        let (mut rank_u, mut rank_v) = (vec![0u32; nu], vec![0u32; nv]);
-        for (rank, &w) in order.iter().enumerate() {
-            match (w as usize).checked_sub(nu) {
-                None => rank_u[w as usize] = rank as u32,
-                Some(v) => rank_v[v] = rank as u32,
-            }
+        let nu = g.num_u();
+        let lists: Vec<Vec<u32>> = (0..nu as u32)
+            .map(|u| g.neighbors_u(u).iter().map(|&v| nu as u32 + v).collect())
+            .chain((0..g.num_v() as u32).map(|v| g.neighbors_v(v).to_vec()))
+            .collect();
+        let mut order: Vec<u32> = (0..lists.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let deg = |w: u32| lists[w as usize].len();
+            deg(b).cmp(&deg(a)).then(a.cmp(&b))
+        });
+        let mut rank = vec![0u32; lists.len()];
+        for (r, &w) in order.iter().enumerate() {
+            rank[w as usize] = r as u32;
         }
-        let mut u_adj = Vec::new();
-        for u in 0..nu as u32 {
-            let mut list = g.neighbors_u(u).to_vec();
-            list.sort_by_key(|&v| rank_v[v as usize]);
-            u_adj.extend(list);
+        let mut offsets = vec![0];
+        let mut adj = Vec::new();
+        for mut list in lists {
+            list.sort_by_key(|&x| rank[x as usize]);
+            adj.extend(list);
+            offsets.push(adj.len());
         }
-        let mut v_adj = Vec::new();
-        for v in 0..nv as u32 {
-            let mut list = g.neighbors_v(v).to_vec();
-            list.sort_by_key(|&u| rank_u[u as usize]);
-            v_adj.extend(list);
-        }
-        let offsets = |n: usize, d: &dyn Fn(u32) -> usize| -> Vec<usize> {
-            std::iter::once(0)
-                .chain((0..n as u32).scan(0, |at, x| {
-                    *at += d(x);
-                    Some(*at)
-                }))
-                .collect()
-        };
         RankedGraph {
             nu,
-            nv,
-            rank_u,
-            rank_v,
-            u_offsets: offsets(nu, &|u| g.deg_u(u)),
-            u_adj,
-            v_offsets: offsets(nv, &|v| g.deg_v(v)),
-            v_adj,
+            rank,
+            offsets,
+            adj,
         }
     }
 
@@ -294,12 +236,10 @@ mod tests {
         for g in &graphs {
             let got = RankedGraph::from_csr(g);
             let want = sorted_reference(g);
-            assert_eq!(got.rank_u, want.rank_u);
-            assert_eq!(got.rank_v, want.rank_v);
-            assert_eq!(got.u_offsets, want.u_offsets);
-            assert_eq!(got.u_adj, want.u_adj);
-            assert_eq!(got.v_offsets, want.v_offsets);
-            assert_eq!(got.v_adj, want.v_adj);
+            assert_eq!(got.nu, want.nu);
+            assert_eq!(got.rank, want.rank);
+            assert_eq!(got.offsets, want.offsets);
+            assert_eq!(got.adj, want.adj);
             let du: std::collections::HashSet<usize> =
                 (0..g.num_u() as u32).map(|u| g.deg_u(u)).collect();
             cross_side_ties += (0..g.num_v() as u32)
@@ -319,6 +259,8 @@ mod tests {
     fn empty_and_isolated() {
         let r = ranked(2, 2, &[]);
         assert_eq!(r.num_edges(), 0);
-        assert!(r.neighbors_u(1).is_empty());
+        assert_eq!(r.num_vertices(), 4);
+        assert!(r.neighbors(1).is_empty());
+        assert!(r.neighbors(3).is_empty());
     }
 }

@@ -1,66 +1,78 @@
 //! Sequential vertex-priority per-vertex butterfly counting (Algorithm 1).
 //!
-//! Every wedge `(sp, mp, ep)` is traversed only when the endpoint `ep` has
-//! strictly lower priority (higher global rank value means lower priority;
-//! rank 0 is the highest-degree vertex) than both the start `sp` and middle
-//! `mp`. This charges each butterfly to its highest-priority vertex exactly
-//! once and bounds traversal by `O(Σ_{(u,v)∈E} min(d_u, d_v)) = O(α·m)`.
+//! Every wedge `(sp, mp, ep)` is traversed only when the endpoint `ep`
+//! ranks below both the start `sp` and the middle `mp`, that is, when it
+//! has *higher* priority than both (rank 0 is the highest-degree vertex
+//! and the highest priority). This charges each butterfly to its
+//! highest-priority vertex exactly once and bounds traversal by
+//! `O(Σ_{(u,v)∈E} min(d_u, d_v)) = O(α·m)`.
+//!
+//! Vertices are the global ids of [`RankedGraph`] (U-vertex `u` is `u`,
+//! V-vertex `v` is `num_u + v`), so one loop over `W = U ∪ V` counts both
+//! sides.
 
 use crate::VertexCounts;
 use bigraph::{RankedGraph, VertexId};
 
+/// The wedge scratch of one task, reused across its start vertices.
+pub(crate) struct Scratch {
+    /// Wedges per endpoint, indexed by global id; all zero between calls.
+    wdg: Vec<u32>,
+    /// Endpoints whose `wdg` entry is nonzero.
+    nze: Vec<VertexId>,
+    /// `(middle, endpoint)` of every live wedge.
+    nzw: Vec<(VertexId, VertexId)>,
+}
+
+impl Scratch {
+    /// Scratch for a graph of `n = |W|` vertices.
+    pub(crate) fn new(n: usize) -> Self {
+        Scratch {
+            wdg: vec![0; n],
+            nze: Vec::new(),
+            nzw: Vec::new(),
+        }
+    }
+}
+
 /// One start-vertex pass of Algorithm 1, shared by the sequential and
-/// parallel drivers.
+/// parallel drivers. Calls `emit(w, b)` to add `b` butterflies to vertex
+/// `w`'s count and returns the number of wedges traversed.
 ///
-/// `neigh_sp` are the (rank-sorted) middle vertices of `sp`;
-/// `neigh_mid(mp)` yields the (rank-sorted) endpoints of a middle vertex.
-/// `wdg` is a dense endpoint-indexed scratch that must be all-zero on entry
-/// and is restored to all-zero on exit. Calls `emit_same(ep_or_sp, bcnt)`
-/// for same-side contributions and `emit_opp(mp, bcnt)` for middle-vertex
-/// contributions. Returns the number of wedges traversed.
-///
-/// `mid_alive` / `end_alive` support HUC re-counts on a graph whose peeled
-/// vertices have not been compacted away yet: wedges through a dead middle
-/// or ending at a dead endpoint are skipped (their traversal cost is still
-/// reported — the work is really done). Pass `|_| true` for plain counting;
-/// the closures monomorphize away.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_start_vertex<'g>(
+/// `live` supports HUC re-counts on a graph whose peeled vertices have not
+/// been compacted away: a dead start vertex starts no wedge, wedges
+/// through a dead middle are skipped, and wedges to a dead endpoint are
+/// skipped but still reported (the work is really done). Pass `|_| true`
+/// for plain counting; the closure monomorphizes away.
+pub(crate) fn process_start_vertex(
+    g: &RankedGraph,
     sp: VertexId,
-    rank_sp: u32,
-    neigh_sp: &[VertexId],
-    rank_mid: impl Fn(VertexId) -> u32,
-    neigh_mid: impl Fn(VertexId) -> &'g [VertexId],
-    rank_end: impl Fn(VertexId) -> u32,
-    mid_alive: impl Fn(VertexId) -> bool,
-    end_alive: impl Fn(VertexId) -> bool,
-    wdg: &mut [u32],
-    nze: &mut Vec<VertexId>,
-    nzw: &mut Vec<(VertexId, VertexId)>,
-    mut emit_same: impl FnMut(VertexId, u64),
-    mut emit_opp: impl FnMut(VertexId, u64),
+    live: impl Fn(VertexId) -> bool,
+    scratch: &mut Scratch,
+    mut emit: impl FnMut(VertexId, u64),
 ) -> u64 {
+    if !live(sp) {
+        return 0;
+    }
+    let Scratch { wdg, nze, nzw } = scratch;
     nze.clear();
     nzw.clear();
+    let rank_sp = g.rank(sp);
     let mut skipped = 0u64;
-    for &mp in neigh_sp {
-        if !mid_alive(mp) {
+    for &mp in g.neighbors(sp) {
+        if !live(mp) {
             continue;
         }
-        let r_mp = rank_mid(mp);
-        let cap = r_mp.min(rank_sp);
+        let cap = g.rank(mp).min(rank_sp);
         // Endpoints are rank-sorted ascending, so the wedges to traverse
         // are exactly the prefix with rank below `cap`. Galloping
         // (exponential + binary search) finds that boundary in
         // O(log prefix) rank lookups instead of one per endpoint, and the
-        // prefix walk below then needs no rank checks at all. The prefix
-        // is identical to what the old per-element break-scan visited, so
-        // the traversed-wedge count — and every golden pinned to it — is
-        // unchanged by construction.
-        let neigh = neigh_mid(mp);
-        let prefix = crate::intersect::gallop_partition_point(neigh, |&ep| rank_end(ep) < cap);
+        // prefix walk below then needs no rank checks at all.
+        let neigh = g.neighbors(mp);
+        let prefix = crate::intersect::gallop_partition_point(neigh, |&ep| g.rank(ep) < cap);
         for &ep in &neigh[..prefix] {
-            if !end_alive(ep) {
+            if !live(ep) {
                 skipped += 1;
                 continue;
             }
@@ -80,12 +92,12 @@ pub(crate) fn process_start_vertex<'g>(
         let c = wdg[ep as usize] as u64;
         let bcnt = c * (c - 1) / 2;
         if bcnt > 0 {
-            emit_same(ep, bcnt);
+            emit(ep, bcnt);
             sp_total += bcnt;
         }
     }
     if sp_total > 0 {
-        emit_same(sp, sp_total);
+        emit(sp, sp_total);
     }
 
     // Opposite-side contribution: the wedge (sp, mp, ep) pairs with the
@@ -93,7 +105,7 @@ pub(crate) fn process_start_vertex<'g>(
     for &(mp, ep) in nzw.iter() {
         let bcnt = (wdg[ep as usize] - 1) as u64;
         if bcnt > 0 {
-            emit_opp(mp, bcnt);
+            emit(mp, bcnt);
         }
     }
 
@@ -105,58 +117,21 @@ pub(crate) fn process_start_vertex<'g>(
 
 /// Sequential Algorithm 1: per-vertex butterfly counts for both sides.
 pub fn vertex_priority_counts(g: &RankedGraph) -> VertexCounts {
-    let nu = g.num_u();
-    let nv = g.num_v();
-    let mut cnt_u = vec![0u64; nu];
-    let mut cnt_v = vec![0u64; nv];
-    let mut wedges = 0u64;
-
-    let mut wdg = vec![0u32; nu.max(nv)];
-    let mut nze: Vec<VertexId> = Vec::new();
-    let mut nzw: Vec<(VertexId, VertexId)> = Vec::new();
-
-    // Start vertices on U: middles on V, endpoints on U.
-    for sp in 0..nu as VertexId {
-        wedges += process_start_vertex(
-            sp,
-            g.rank_u(sp),
-            g.neighbors_u(sp),
-            |mp| g.rank_v(mp),
-            |mp| g.neighbors_v(mp),
-            |ep| g.rank_u(ep),
-            |_| true,
-            |_| true,
-            &mut wdg,
-            &mut nze,
-            &mut nzw,
-            |ep, b| cnt_u[ep as usize] += b,
-            |mp, b| cnt_v[mp as usize] += b,
-        );
-    }
-    // Start vertices on V: middles on U, endpoints on V.
-    for sp in 0..nv as VertexId {
-        wedges += process_start_vertex(
-            sp,
-            g.rank_v(sp),
-            g.neighbors_v(sp),
-            |mp| g.rank_u(mp),
-            |mp| g.neighbors_u(mp),
-            |ep| g.rank_v(ep),
-            |_| true,
-            |_| true,
-            &mut wdg,
-            &mut nze,
-            &mut nzw,
-            |ep, b| cnt_v[ep as usize] += b,
-            |mp, b| cnt_u[mp as usize] += b,
-        );
-    }
-
-    VertexCounts {
-        u: cnt_u,
-        v: cnt_v,
-        wedges_traversed: wedges,
-    }
+    let n = g.num_vertices();
+    let mut counts = vec![0u64; n];
+    let mut scratch = Scratch::new(n);
+    let wedges = (0..n as VertexId)
+        .map(|sp| {
+            process_start_vertex(
+                g,
+                sp,
+                |_| true,
+                &mut scratch,
+                |w, b| counts[w as usize] += b,
+            )
+        })
+        .sum();
+    VertexCounts::from_global(counts, g.num_u(), wedges)
 }
 
 #[cfg(test)]
@@ -212,11 +187,26 @@ mod tests {
         }
     }
 
+    /// `g` with one isolated vertex added at the last U id and one at the
+    /// first V id, where the global numbering switches sides.
+    fn isolate_side_boundary(g: &bigraph::BipartiteCsr) -> bigraph::BipartiteCsr {
+        let edges: Vec<(u32, u32)> = g.edges().map(|(u, v)| (u, v + 1)).collect();
+        from_edges(g.num_u() + 1, g.num_v() + 1, &edges).unwrap()
+    }
+
     #[test]
     fn matches_naive_on_random_graphs() {
         for seed in 0..8 {
-            check_matches_naive(&gen::uniform(40, 30, 200, seed));
-            check_matches_naive(&gen::zipf(60, 25, 300, 0.4, 1.0, seed));
+            for g in [
+                gen::uniform(40, 30, 200, seed),
+                gen::zipf(60, 25, 300, 0.4, 1.0, seed),
+            ] {
+                let h = isolate_side_boundary(&g);
+                assert_eq!(h.deg_u(g.num_u() as u32), 0);
+                assert_eq!(h.deg_v(0), 0);
+                check_matches_naive(&g);
+                check_matches_naive(&h);
+            }
         }
     }
 

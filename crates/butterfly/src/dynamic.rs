@@ -36,7 +36,8 @@ type Butterfly = (VertexId, VertexId, VertexId, VertexId);
 /// What one batch did to the maintained counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchDelta {
-    /// Structural classification from [`DynamicBigraph::apply_batch`].
+    /// Structural classification from [`DynamicBigraph::apply_batch`];
+    /// `compacted` says whether the index compacted after the batch.
     pub application: BatchApplication,
     /// Butterflies created by the batch's insertions.
     pub gained: u64,
@@ -212,7 +213,7 @@ impl DynamicButterflyIndex {
     pub fn apply_batch(&mut self, ops: &[EdgeOp]) -> BatchDelta {
         // The graph's own classification (last op per edge wins), taken
         // against the pre-batch state so losses can be enumerated before
-        // the graph mutates. `DynamicBigraph::apply_ops` re-runs the
+        // the graph mutates. `DynamicBigraph::apply_batch` re-runs the
         // same `classify_batch`, so both views agree by construction.
         let pre = self.graph.classify_batch(ops);
 
@@ -221,9 +222,9 @@ impl DynamicButterflyIndex {
         let (lost_lists, lost_work) = enumerate_changed(&self.graph, &pre.deleted);
 
         // Compaction is deferred until after patching: the flat per-edge
-        // array is indexed by *current* base edge ids, and `apply_ops`
+        // array is indexed by *current* base edge ids, and `apply_batch`
         // leaves the base untouched.
-        let mut application = self.graph.apply_ops(ops);
+        let mut application = self.graph.apply_batch(ops);
         debug_assert_eq!(application.inserted, pre.inserted);
         debug_assert_eq!(application.deleted, pre.deleted);
         // Sides may have grown; new vertices start butterfly-free.
@@ -316,24 +317,16 @@ impl DynamicButterflyIndex {
     }
 
     /// Folds the overlay into a new base CSR and realigns the flat
-    /// per-edge array with the rebuilt edge-id space. Counts are carried
-    /// across keyed by endpoint pair; every nonzero count belongs to a
-    /// present edge, so all of them land in the new base.
+    /// per-edge array with the rebuilt edge-id space; one
+    /// [`Self::materialize_with_edge_counts`] merge yields both. Every
+    /// nonzero count belongs to a present edge, so all of them land in
+    /// the new base.
     fn compact_and_realign(&mut self) {
-        let mut saved = std::mem::take(&mut self.overlay_edge_counts);
-        for ((u, v), &c) in self.graph.base().edges().zip(self.base_edge_counts.iter()) {
-            if c > 0 {
-                saved.insert((u, v), c);
-            }
-        }
-        self.graph.compact();
-        self.base_edge_counts = self
-            .graph
-            .base()
-            .edges()
-            .map(|e| saved.get(&e).copied().unwrap_or(0))
-            .collect();
-        self.nonzero_base = saved.len();
+        let (graph, counts) = self.materialize_with_edge_counts();
+        self.nonzero_base = self.tracked_edges();
+        self.base_edge_counts = counts;
+        self.overlay_edge_counts.clear();
+        self.graph.compact(graph);
     }
 }
 

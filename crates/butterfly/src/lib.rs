@@ -56,6 +56,17 @@ impl VertexCounts {
     pub fn total(&self) -> u64 {
         self.u.iter().sum::<u64>() / 2
     }
+
+    /// Splits counts indexed by [`bigraph::RankedGraph`]'s global ids (the
+    /// `nu` U-vertices first, then V) into the two sides.
+    pub(crate) fn from_global(mut counts: Vec<u64>, nu: usize, wedges_traversed: u64) -> Self {
+        let v = counts.split_off(nu);
+        VertexCounts {
+            u: counts,
+            v,
+            wedges_traversed,
+        }
+    }
 }
 
 /// Convenience: count per-vertex butterflies on `g` with the sequential

@@ -1,32 +1,25 @@
 //! Parallel per-vertex butterfly counting.
 //!
 //! Start vertices are processed concurrently (the `do in parallel` of
-//! Algorithm 1). Each task — one part of the parallel split — checks a
-//! dense wedge array out of a [`parutil::ScratchPool`] once and reuses it
-//! for every start vertex of the part (the paper gives each OpenMP thread
-//! a `θ(|W|)` private array — "batch" aggregation mode of ParButterfly);
-//! contributions are published with relaxed atomic adds. The per-wedge
-//! inner loop is `crate::count::process_start_vertex` (crate-private),
-//! shared with the sequential driver, so the rank-boundary galloping there
-//! (exponential search for the live-rank prefix instead of a per-endpoint
-//! break-scan) accelerates both drivers identically — including the
-//! `wedges_traversed` metric, which is unchanged by construction.
+//! Algorithm 1), one fold over all of `W = U ∪ V`. Each task — one part of
+//! the parallel split — checks a dense wedge array out of a
+//! [`parutil::ScratchPool`] once and reuses it for every start vertex of
+//! the part (the paper gives each OpenMP thread a `θ(|W|)` private array —
+//! "batch" aggregation mode of ParButterfly); contributions are published
+//! with relaxed atomic adds. The per-wedge inner loop is
+//! `crate::count::process_start_vertex` (crate-private), shared with the
+//! sequential driver, so both report the same `wedges_traversed`.
 
+use crate::count::{process_start_vertex, Scratch};
 use crate::VertexCounts;
 use bigraph::{RankedGraph, Side, VertexId};
 use parutil::ScratchPool;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-struct Scratch {
-    wdg: Vec<u32>,
-    nze: Vec<VertexId>,
-    nzw: Vec<(VertexId, VertexId)>,
-}
-
 /// Parallel Algorithm 1 on the ambient rayon pool.
 pub fn par_vertex_priority_counts(g: &RankedGraph) -> VertexCounts {
-    par_counts(g, |_| true, |_| true)
+    par_counts(g, |_| true)
 }
 
 /// Parallel counting restricted to the *live* subgraph, without compacting
@@ -40,108 +33,40 @@ pub fn par_counts_with_filter(
     filtered_side: Side,
     alive: &[AtomicBool],
 ) -> VertexCounts {
-    let live = |x: VertexId| -> bool { alive[x as usize].load(Ordering::Relaxed) };
-    match filtered_side {
-        Side::U => {
-            assert_eq!(alive.len(), g.num_u());
-            par_counts(g, live, |_| true)
-        }
-        Side::V => {
-            assert_eq!(alive.len(), g.num_v());
-            par_counts(g, |_| true, live)
-        }
-    }
+    // The filtered side's global ids are `first..first + len`.
+    let (first, len) = match filtered_side {
+        Side::U => (0, g.num_u()),
+        Side::V => (g.num_u(), g.num_v()),
+    };
+    assert_eq!(alive.len(), len);
+    let ids = first..first + len;
+    par_counts(g, |w: VertexId| {
+        !ids.contains(&(w as usize)) || alive[w as usize - first].load(Ordering::Relaxed)
+    })
 }
 
-/// Both passes of Algorithm 1 — start vertices on U, then on V — over the
-/// vertices `live_u` and `live_v` accept: a dead vertex starts no wedge,
-/// and wedges through a dead middle or to a dead endpoint are skipped.
-fn par_counts(
-    g: &RankedGraph,
-    live_u: impl Fn(VertexId) -> bool + Sync,
-    live_v: impl Fn(VertexId) -> bool + Sync,
-) -> VertexCounts {
-    let nu = g.num_u();
-    let nv = g.num_v();
-    let cnt_u: Vec<AtomicU64> = (0..nu).map(|_| AtomicU64::new(0)).collect();
-    let cnt_v: Vec<AtomicU64> = (0..nv).map(|_| AtomicU64::new(0)).collect();
-    let scratch_len = nu.max(nv);
-    let pool = ScratchPool::new(move || Scratch {
-        wdg: vec![0u32; scratch_len],
-        nze: Vec::new(),
-        nzw: Vec::new(),
-    });
-
-    // U-side start vertices (middles on V, endpoints on U).
-    let wedges_u: u64 = (0..nu as VertexId)
+/// Algorithm 1 over every start vertex of `W` that `live` accepts: a dead
+/// vertex starts no wedge, and wedges through a dead middle or to a dead
+/// endpoint are skipped.
+fn par_counts(g: &RankedGraph, live: impl Fn(VertexId) -> bool + Sync) -> VertexCounts {
+    let n = g.num_vertices();
+    let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    let pool = ScratchPool::new(move || Scratch::new(n));
+    let wedges = (0..n as VertexId)
         .into_par_iter()
-        .filter(|&sp| live_u(sp))
         .fold(
             || (pool.acquire(), 0u64),
             |(mut s, wedges), sp| {
-                let Scratch { wdg, nze, nzw } = &mut *s;
-                let w = crate::count::process_start_vertex(
-                    sp,
-                    g.rank_u(sp),
-                    g.neighbors_u(sp),
-                    |mp| g.rank_v(mp),
-                    |mp| g.neighbors_v(mp),
-                    |ep| g.rank_u(ep),
-                    &live_v,
-                    &live_u,
-                    wdg,
-                    nze,
-                    nzw,
-                    |ep, b| {
-                        cnt_u[ep as usize].fetch_add(b, Ordering::Relaxed);
-                    },
-                    |mp, b| {
-                        cnt_v[mp as usize].fetch_add(b, Ordering::Relaxed);
-                    },
-                );
+                let w = process_start_vertex(g, sp, &live, &mut s, |w, b| {
+                    counts[w as usize].fetch_add(b, Ordering::Relaxed);
+                });
                 (s, wedges + w)
             },
         )
         .map(|(_, wedges)| wedges)
         .sum();
-    // V-side start vertices (middles on U, endpoints on V).
-    let wedges_v: u64 = (0..nv as VertexId)
-        .into_par_iter()
-        .filter(|&sp| live_v(sp))
-        .fold(
-            || (pool.acquire(), 0u64),
-            |(mut s, wedges), sp| {
-                let Scratch { wdg, nze, nzw } = &mut *s;
-                let w = crate::count::process_start_vertex(
-                    sp,
-                    g.rank_v(sp),
-                    g.neighbors_v(sp),
-                    |mp| g.rank_u(mp),
-                    |mp| g.neighbors_u(mp),
-                    |ep| g.rank_v(ep),
-                    &live_u,
-                    &live_v,
-                    wdg,
-                    nze,
-                    nzw,
-                    |ep, b| {
-                        cnt_v[ep as usize].fetch_add(b, Ordering::Relaxed);
-                    },
-                    |mp, b| {
-                        cnt_u[mp as usize].fetch_add(b, Ordering::Relaxed);
-                    },
-                );
-                (s, wedges + w)
-            },
-        )
-        .map(|(_, wedges)| wedges)
-        .sum();
-
-    VertexCounts {
-        u: cnt_u.into_iter().map(AtomicU64::into_inner).collect(),
-        v: cnt_v.into_iter().map(AtomicU64::into_inner).collect(),
-        wedges_traversed: wedges_u + wedges_v,
-    }
+    let counts = counts.into_iter().map(AtomicU64::into_inner).collect();
+    VertexCounts::from_global(counts, g.num_u(), wedges)
 }
 
 #[cfg(test)]
@@ -149,31 +74,35 @@ mod tests {
     use super::*;
     use crate::count::vertex_priority_counts;
     use bigraph::gen;
-    use bigraph::RankedGraph;
-    use std::sync::atomic::AtomicBool;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn filtered_count_matches_compacted_count() {
-        for side in [bigraph::Side::U, bigraph::Side::V] {
-            let g = gen::zipf(60, 40, 380, 0.5, 0.9, 21);
-            let ranked = RankedGraph::from_csr(&g);
+        // Random graphs, alive flags and sides; the reference physically
+        // removes the dead vertices' edges and counts what is left.
+        let mut rng = SmallRng::seed_from_u64(21);
+        for case in 0..64 {
+            let (nu, nv) = (rng.random_range(1..70usize), rng.random_range(1..50usize));
+            let m = rng.random_range(0..8 * (nu + nv));
+            let g = gen::zipf(nu, nv, m, rng.random(), rng.random(), case);
+            let side = if rng.random() { Side::U } else { Side::V };
             let n = match side {
-                bigraph::Side::U => 60,
-                bigraph::Side::V => 40,
+                Side::U => nu,
+                Side::V => nv,
             };
-            let alive: Vec<AtomicBool> = (0..n).map(|i| AtomicBool::new(i % 4 != 1)).collect();
-            let filtered = par_counts_with_filter(&ranked, side, &alive);
+            let dead_share: f64 = rng.random();
+            let flags: Vec<bool> = (0..n).map(|_| rng.random::<f64>() >= dead_share).collect();
+            let alive: Vec<AtomicBool> = flags.iter().map(|&f| AtomicBool::new(f)).collect();
+            let filtered = par_counts_with_filter(&RankedGraph::from_csr(&g), side, &alive);
 
-            // Reference: physically remove the dead vertices' edges.
-            let flags: Vec<bool> = (0..n).map(|i| i % 4 != 1).collect();
             let (au, av) = match side {
-                bigraph::Side::U => (flags.clone(), vec![true; 40]),
-                bigraph::Side::V => (vec![true; 60], flags.clone()),
+                Side::U => (flags, vec![true; nv]),
+                Side::V => (vec![true; nu], flags),
             };
-            let compacted = bigraph::compact::compact(&g, &au, &av);
-            let reference = crate::count_graph(&compacted);
-            assert_eq!(filtered.u, reference.u, "{side}");
-            assert_eq!(filtered.v, reference.v, "{side}");
+            let reference = crate::count_graph(&bigraph::compact::compact(&g, &au, &av));
+            assert_eq!(filtered.u, reference.u, "case {case}, {side}");
+            assert_eq!(filtered.v, reference.v, "case {case}, {side}");
         }
     }
 

@@ -279,11 +279,6 @@ impl StreamEngine {
         verify_against_scratch(&core.index, &[&core.tip_u, &core.tip_v])
     }
 
-    /// Cumulative compactions of the underlying overlay graph.
-    pub fn compactions(&self) -> u64 {
-        self.inner.lock().index.graph().compactions()
-    }
-
     /// LSN of the last committed batch, for durable engines.
     pub fn end_lsn(&self) -> Option<u64> {
         self.inner.lock().log.as_ref().map(|log| log.end_lsn())
