@@ -26,8 +26,8 @@ pub fn community_graph() -> BipartiteCsr {
     bigraph::gen::planted_bicliques(2_000, 2_000, 20, 8, 8, 10_000, 9)
 }
 
-/// Criterion settings tuned for a single-core container: few samples,
-/// short measurement windows.
+/// Criterion settings for short runs on a small, shared machine: few
+/// samples, short measurement windows.
 pub fn quick() -> criterion::Criterion {
     criterion::Criterion::default()
         .sample_size(10)

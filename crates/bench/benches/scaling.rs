@@ -1,6 +1,7 @@
-//! Thread scaling (Figures 10–11). On the single-core reference container
-//! this measures parallel-overhead neutrality rather than speedup; on a
-//! multicore machine the same bench produces the paper's scaling curves.
+//! Thread scaling (Figures 10–11). A shared machine can deliver fewer
+//! usable cores than `nproc` reports, so read a speedup here only beside
+//! a usable-core calibration taken in the same run; without one, the
+//! curves show parallel overhead, not scaling.
 
 mod common;
 

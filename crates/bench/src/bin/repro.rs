@@ -16,17 +16,6 @@
 //!   wing     §7 extension: parallel vs sequential wing decomposition
 //!   dynamic  batch-dynamic maintenance: per-batch incremental update cost
 //!            vs from-scratch recount + re-peel, oracle-checked
-//!   serve    mixed read/update throughput: a writer applies the dynamic
-//!            schedule through the epoch-snapshot engine while reader
-//!            threads answer point queries from published snapshots
-//!   recover  durability crash matrix: cut the WAL at (and inside) every
-//!            batch boundary, recover, and require the reference state
-//!            plus a from-scratch oracle pass; checkpoint folding and
-//!            binary-vs-text load cost ride along
-//!   versions named snapshots over the WAL (`VERSIONING.md`): tag every
-//!            batch boundary of the dynamic schedule, time-travel to each
-//!            tag with an oracle check, verify the diff law, and
-//!            cross-check the derive operators against brute force
 //!   projection  §1 motivation: unipartite-projection blowup
 //!   smoke    small deterministic oracle-checked runs (CI / golden snapshot)
 //!   all      everything above except smoke, in order
@@ -47,15 +36,15 @@
 //!
 //! `--json` emits a versioned [`receipt_bench::report::ReproReport`]
 //! document instead of text (supported for `table2`, `table3`, `wing`,
-//! `dynamic`, `serve`, `recover`, `versions`, `smoke` — the figure
-//! experiments are timing curves
-//! with no structured content beyond what table3 already covers). Every JSON document carries
-//! a `scheduler` section (work-stealing counters; `smoke` first drives a
-//! deterministic fork-join workload through the pool so the section
-//! reflects nested-parallel scheduling even though the smoke graphs are
-//! tiny). `--out FILE` redirects either format. `EXPERIMENTS.md` records
-//! one full text run; `tests/golden/repro_smoke.json` pins the
-//! timing-and-scheduler-scrubbed smoke document.
+//! `dynamic`, `smoke` — the figure experiments are timing curves with no
+//! structured content beyond what table3 already covers). Every JSON
+//! document carries a `scheduler` section (work-stealing counters; `smoke`
+//! first drives a deterministic fork-join workload through the pool so the
+//! section reflects nested-parallel scheduling even though the smoke
+//! graphs are tiny). `--out FILE` redirects either format.
+//! `EXPERIMENTS.md` records one full text run;
+//! `tests/golden/repro_{smoke,dynamic}.json` pin the
+//! timing-and-scheduler-scrubbed smoke and dynamic documents.
 
 #![forbid(unsafe_code)]
 
@@ -113,8 +102,7 @@ fn main() {
         let report = match build_json(&what) {
             Some(report) => report,
             None if KNOWN_EXPERIMENTS.contains(&what.as_str()) => fail(&format!(
-                "`{what}` has no JSON form; supported: table2, table3, wing, dynamic, serve, \
-                 recover, versions, smoke"
+                "`{what}` has no JSON form; supported: table2, table3, wing, dynamic, smoke"
             )),
             None => fail(&format!(
                 "unknown experiment `{what}`; see --help in the module docs"
@@ -149,9 +137,6 @@ fn main() {
         "fig11" => fig10_fig11(Side::V),
         "wing" => wing_extension(),
         "dynamic" => dynamic_experiment(),
-        "serve" => serve_experiment(),
-        "recover" => recover_experiment(),
-        "versions" => versions_experiment(),
         "projection" => projection_motivation(),
         "smoke" => smoke(),
         "all" => {
@@ -167,9 +152,6 @@ fn main() {
             fig10_fig11(Side::V);
             wing_extension();
             dynamic_experiment();
-            serve_experiment();
-            recover_experiment();
-            versions_experiment();
             projection_motivation();
         }
         other => fail(&format!(
@@ -191,18 +173,10 @@ const KNOWN_EXPERIMENTS: &[&str] = &[
     "fig11",
     "wing",
     "dynamic",
-    "serve",
-    "recover",
-    "versions",
     "projection",
     "smoke",
     "all",
 ];
-
-/// Reader-thread count of the `serve` experiment (fixed so the
-/// machine-independent rows are comparable across runs; the telemetry
-/// section absorbs the machine-dependent part).
-const SERVE_READERS: usize = 4;
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -225,9 +199,6 @@ fn build_json(what: &str) -> Option<ReproReport> {
         "table3" => report.table3 = Some(table3_rows()),
         "wing" => report.wing = Some(wing_rows()),
         "dynamic" => report.dynamic = Some(dynamic_rows()),
-        "serve" => report.serve = Some(serve_report(SERVE_READERS)),
-        "recover" => report.recover = Some(recover_report()),
-        "versions" => report.versions = Some(versions_report()),
         "smoke" => {
             report.smoke = Some(smoke_report());
             // The smoke graphs are deliberately tiny, so drive one
@@ -692,173 +663,6 @@ fn dynamic_experiment() {
     println!("(W = wedge/intersection work; every row recount- and BUP-verified)");
 }
 
-/// Mixed read/update throughput through the epoch-snapshot engine.
-fn serve_experiment() {
-    header("serve: mixed read/update throughput through the epoch-snapshot engine");
-    let report = serve_report(SERVE_READERS);
-    println!(
-        "{} with {} reader thread(s); every batch verified before publication",
-        report.family, report.readers
-    );
-    println!(
-        "{:>6} {:>5} {:>5} {:>7} {:>7} {:>9} {:>8} {:>8} {:>10} {:>10}",
-        "epoch",
-        "+ins",
-        "-del",
-        "gained",
-        "lost",
-        "total_bf",
-        "thmaxU",
-        "thmaxV",
-        "t_upd(s)",
-        "t_ver(s)"
-    );
-    for r in &report.batches {
-        println!(
-            "{:>6} {:>5} {:>5} {:>7} {:>7} {:>9} {:>8} {:>8} {:>10.4} {:>10.4}",
-            r.epoch,
-            r.inserted,
-            r.deleted,
-            r.butterflies_gained,
-            r.butterflies_lost,
-            r.total_butterflies,
-            r.theta_max_u,
-            r.theta_max_v,
-            r.time_update_secs,
-            r.time_verify_secs,
-        );
-    }
-    let t = report.serve_telemetry.as_ref().expect("telemetry present");
-    println!(
-        "readers completed {} consistent rounds over {} epoch(s) in {:.3}s ({:.0} reads/s); \
-         final epoch {} verified = {}",
-        t.reads_total,
-        t.epochs_observed,
-        t.time_session_secs,
-        t.reads_per_sec,
-        report.final_epoch,
-        report.final_verified,
-    );
-}
-
-/// The durability crash matrix, in human-readable form. Divergence from
-/// the reference trajectory or the oracle panics inside `recover_report`.
-fn recover_experiment() {
-    header("recover: WAL crash matrix, checkpoint folding, and load cost");
-    let report = recover_report();
-    println!(
-        "{} over {} durable batch(es); every recovery oracle-verified",
-        report.family, report.batches
-    );
-    println!(
-        "{:<18} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>10}",
-        "crash kind",
-        "boundary",
-        "records",
-        "replayed",
-        "repaired",
-        "torn(B)",
-        "total_bf",
-        "t_rec(s)"
-    );
-    for r in &report.crash_matrix {
-        println!(
-            "{:<18} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>10.4}",
-            r.kind,
-            r.boundary,
-            r.wal_records,
-            r.replayed,
-            r.repaired,
-            r.discarded_bytes,
-            r.total_butterflies,
-            r.time_recover_secs,
-        );
-    }
-    let f = &report.checkpoint_fold;
-    println!(
-        "fold: checkpoint every {} -> checkpoint lsn {}, replayed {}, skipped {} (of {})",
-        f.checkpoint_every, f.checkpoint_lsn, f.replayed, f.skipped, f.batches
-    );
-    println!(
-        "{:<10} {:>8} {:>10} {:>10} {:>8} {:>12} {:>12}",
-        "graph", "|E|", "text(B)", "binary(B)", "ratio", "t_text(s)", "t_binary(s)"
-    );
-    for r in &report.load_cost {
-        println!(
-            "{:<10} {:>8} {:>10} {:>10} {:>8.2} {:>12.5} {:>12.5}",
-            r.graph,
-            r.num_edges,
-            r.text_bytes,
-            r.binary_bytes,
-            r.text_bytes as f64 / r.binary_bytes as f64,
-            r.time_text_load_secs,
-            r.time_binary_load_secs,
-        );
-    }
-    println!("(crash states matched the uninterrupted run at every boundary)");
-}
-
-/// The graph-versioning experiment, in human-readable form. Divergence
-/// from the reference trajectory, a failed oracle, a broken diff law, or
-/// a derive mismatch panics inside `versions_report`.
-fn versions_experiment() {
-    header("versions: named snapshots, time travel, diffs, and derive");
-    let report = versions_report();
-    println!(
-        "{} over {} durable batch(es); every time travel oracle-verified",
-        report.family, report.batches
-    );
-    println!(
-        "{:<8} {:>6} {:>12} {:>18} {:>18}",
-        "tag", "lsn", "total_bf", "tip_checksum_u", "tip_checksum_v"
-    );
-    for t in &report.tags {
-        println!(
-            "{:<8} {:>6} {:>12} {:>18x} {:>18x}",
-            t.name, t.lsn, t.total_butterflies, t.tip_checksum_u, t.tip_checksum_v
-        );
-    }
-    println!(
-        "{:<8} {:>6} {:>9} {:>9} {:>9} {:>8} {:>10}",
-        "travel", "lsn", "ckpt_lsn", "replayed", "skip_abv", "oracle", "t_open(s)"
-    );
-    for t in &report.time_travel {
-        println!(
-            "{:<8} {:>6} {:>9} {:>9} {:>9} {:>8} {:>10.4}",
-            t.name,
-            t.lsn,
-            t.checkpoint_lsn,
-            t.replayed,
-            t.skipped_above,
-            t.oracle_verified,
-            t.time_open_secs,
-        );
-    }
-    println!(
-        "{:<16} {:>6} {:>8} {:>8} {:>10}",
-        "diff law", "ops", "inserts", "deletes", "law_holds"
-    );
-    for d in &report.diff_law {
-        println!(
-            "{:<16} {:>6} {:>8} {:>8} {:>10}",
-            format!("{} -> {}", d.from, d.to),
-            d.ops,
-            d.inserts,
-            d.deletes,
-            d.law_holds,
-        );
-    }
-    let dc = &report.derive_checks;
-    println!(
-        "derive: subgraph {} edge(s), union {}, difference {} (all match brute force: {})",
-        dc.subgraph_edges,
-        dc.union_edges,
-        dc.difference_edges,
-        dc.subgraph_matches && dc.union_matches && dc.difference_matches,
-    );
-    println!("(every time-travel state matched the uninterrupted run and the oracle)");
-}
-
 /// `smoke`: the oracle-checked CI workload, in human-readable form.
 fn smoke() {
     header("smoke: RECEIPT vs oracles on small deterministic graphs");
@@ -894,13 +698,14 @@ fn smoke() {
     println!("all runs match their oracles");
 }
 
-/// Figures 10 and 11: self-relative parallel speedup. This container has a
-/// single core, so wall-clock speedup cannot exceed ~1×; the run exercises
-/// the full multi-threaded code paths and reports the (machine-independent)
-/// determinism of the outputs alongside the timings. See EXPERIMENTS.md.
+/// Figures 10 and 11: self-relative parallel speedup. `nproc` can promise
+/// more cores than a shared machine delivers, so a speedup means something
+/// only beside a usable-core calibration taken in the same run. The tips
+/// must be identical at every thread count (asserted). See EXPERIMENTS.md.
 fn fig10_fig11(side: Side) {
     header(&format!(
-        "Figure {}: parallel speedup peeling {side} (single-core container: see EXPERIMENTS.md)",
+        "Figure {}: parallel speedup peeling {side} (read beside a usable-core \
+         calibration from the same run: see EXPERIMENTS.md)",
         if side == Side::U { 10 } else { 11 }
     ));
     let threads = [1usize, 2, 4];

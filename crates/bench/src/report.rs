@@ -19,15 +19,13 @@ pub struct ReproReport {
     pub schema_version: u32,
     /// Always `"repro"`.
     pub kind: String,
-    /// The experiment argument (`table2`, `table3`, `wing`, `smoke`).
+    /// The experiment argument (`table2`, `table3`, `wing`, `dynamic`,
+    /// `smoke`).
     pub experiment: String,
     pub table2: Option<Vec<Table2Row>>,
     pub table3: Option<Vec<Table3Row>>,
     pub wing: Option<Vec<WingRow>>,
     pub dynamic: Option<Vec<DynamicRow>>,
-    pub serve: Option<ServeExperimentReport>,
-    pub recover: Option<RecoverExperimentReport>,
-    pub versions: Option<VersionsExperimentReport>,
     pub smoke: Option<SmokeReport>,
     /// Cumulative work-stealing scheduler counters at the end of the run.
     /// Nondeterministic (OS-scheduling-dependent), so snapshot/diff
@@ -46,9 +44,6 @@ impl ReproReport {
             table3: None,
             wing: None,
             dynamic: None,
-            serve: None,
-            recover: None,
-            versions: None,
             smoke: None,
             scheduler: None,
         }
@@ -181,226 +176,6 @@ pub struct DynamicRow {
     pub tips_match_bup: bool,
     pub time_update_secs: f64,
     pub time_recount_secs: f64,
-}
-
-/// The `repro serve` experiment: a scripted mixed read/update session
-/// against an in-process [`receipt::engine::StreamEngine`] — one writer
-/// thread applies a seeded batch schedule (every batch differentially
-/// verified) while reader threads hammer point queries against the
-/// published snapshots. The per-epoch rows are machine-independent (the
-/// decomposition trajectory does not depend on reader interleaving); the
-/// throughput side lives in [`ServeTelemetry`], which
-/// `receipt::report::scrub_scheduler` nulls for snapshot/diff consumers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeExperimentReport {
-    pub family: String,
-    /// Concurrent reader threads querying while the writer applied batches.
-    pub readers: usize,
-    pub batches: Vec<ServeBatchRow>,
-    /// Final state passed `verify_against_scratch` after the session.
-    pub final_verified: bool,
-    pub final_epoch: u64,
-    pub final_total_butterflies: u64,
-    /// Nondeterministic throughput counters (reader-interleaving- and
-    /// machine-dependent) — scrubbed by `scrub_scheduler`, asserted on by
-    /// the run itself instead.
-    pub serve_telemetry: Option<ServeTelemetry>,
-}
-
-/// One verified batch of the `repro serve` writer, keyed by the epoch it
-/// published. Everything here must be identical across thread counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeBatchRow {
-    pub epoch: u64,
-    pub inserted: usize,
-    pub deleted: usize,
-    pub butterflies_gained: u64,
-    pub butterflies_lost: u64,
-    pub total_butterflies: u64,
-    pub theta_max_u: u64,
-    pub theta_max_v: u64,
-    pub tip_checksum_u: u64,
-    pub tip_checksum_v: u64,
-    pub time_update_secs: f64,
-    pub time_verify_secs: f64,
-}
-
-/// Reader-side throughput of one `repro serve` session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ServeTelemetry {
-    /// Snapshot-grab-plus-query rounds completed across all readers.
-    pub reads_total: u64,
-    pub reads_per_reader: Vec<u64>,
-    /// Distinct epochs readers observed (≥ 1; ≤ batches + 1).
-    pub epochs_observed: usize,
-    /// Reader consistency checks that failed (must be 0; also asserted).
-    pub inconsistencies: u64,
-    pub time_session_secs: f64,
-    pub reads_per_sec: f64,
-}
-
-/// The `repro recover` experiment: the durability crash matrix. An
-/// uninterrupted durable run of a seeded batch schedule records the
-/// per-epoch reference trajectory; then, for every batch boundary, the
-/// store is cloned with its WAL cut at that boundary (simulating a crash)
-/// and recovered, and the recovered state is required to equal the
-/// reference state at the boundary AND pass the from-scratch oracle. A
-/// checkpoint-fold run and the binary-vs-text load-cost comparison ride
-/// along. Everything except the `time_*_secs` fields is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoverExperimentReport {
-    pub family: String,
-    /// Batches in the reference schedule (= WAL records = boundaries).
-    pub batches: usize,
-    pub crash_matrix: Vec<CrashRow>,
-    pub checkpoint_fold: CheckpointFoldRow,
-    pub load_cost: Vec<LoadCostRow>,
-    /// Every crash-matrix and fold recovery passed `verify_against_scratch`
-    /// and matched the reference trajectory (also asserted during the run).
-    pub all_recoveries_verified: bool,
-}
-
-/// One simulated crash + recovery. `kind` is where the crash hit:
-/// `kill-after-append` (WAL record durable, crash before the in-memory
-/// apply), `kill-after-apply` (crash after apply but before anything
-/// else — on disk these are the same bytes, so both must recover to the
-/// post-batch state), or `torn-append` (crash mid-write: the final record
-/// is incomplete, recovery truncates it and lands on the previous batch).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CrashRow {
-    pub kind: String,
-    /// 1-based batch boundary (= LSN of the record the cut lands in).
-    pub boundary: usize,
-    /// Committed records the recovery found in the cut WAL.
-    pub wal_records: usize,
-    pub replayed: usize,
-    /// Recovery truncated a torn tail.
-    pub repaired: bool,
-    pub discarded_bytes: u64,
-    pub total_butterflies: u64,
-    pub tip_checksum_u: u64,
-    pub tip_checksum_v: u64,
-    /// Recovered checksums equal the uninterrupted run's at the expected
-    /// epoch (asserted during the run).
-    pub matches_reference: bool,
-    /// `verify_against_scratch` passed on the recovered engine.
-    pub oracle_verified: bool,
-    pub time_recover_secs: f64,
-}
-
-/// Recovery of a run that folded periodic checkpoints: only the records
-/// past the last fold replay, and the result still matches the reference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointFoldRow {
-    pub checkpoint_every: u64,
-    pub batches: usize,
-    /// LSN the last fold pinned (records at or below it are in the base).
-    pub checkpoint_lsn: u64,
-    pub replayed: usize,
-    pub skipped: usize,
-    pub matches_reference: bool,
-    pub oracle_verified: bool,
-    pub time_recover_secs: f64,
-}
-
-/// Binary (`.bgr`) vs text edge-list load cost for one graph: bytes on
-/// disk and parse time, with the round trip checked for equality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadCostRow {
-    pub graph: String,
-    pub num_edges: usize,
-    pub text_bytes: u64,
-    pub binary_bytes: u64,
-    /// The binary image decoded to the identical graph (asserted).
-    pub round_trip_identical: bool,
-    pub time_text_load_secs: f64,
-    pub time_binary_load_secs: f64,
-}
-
-/// `repro versions`: the graph-versioning experiment (`VERSIONING.md`).
-///
-/// The zipf dynamic schedule is streamed through a durable store with
-/// checkpoint folding disabled (so every tag stays serviceable, §3.4) and
-/// a version is tagged at every batch boundary. Then every tag is
-/// time-travelled to with [`receipt::version`]'s `open_at` and the
-/// materialized state is required to equal the reference trajectory AND
-/// pass the from-scratch oracle; `diff(a, b)` applied to `at(a)` must
-/// equal `at(b)` (§5); and the derive operators are compared against
-/// brute-force set algebra (§6). Everything except the `time_*_secs`
-/// fields is deterministic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VersionsExperimentReport {
-    pub family: String,
-    /// Batches in the schedule (one tag per boundary, plus the `v0` base).
-    pub batches: usize,
-    /// The tags as recorded in `versions.meta`, in LSN order.
-    pub tags: Vec<VersionTagRow>,
-    pub time_travel: Vec<TimeTravelRow>,
-    pub diff_law: Vec<DiffLawRow>,
-    pub derive_checks: DeriveChecksRow,
-    /// Every time-travel state matched the reference trajectory and passed
-    /// `verify_against_scratch` (also asserted during the run).
-    pub all_time_travels_verified: bool,
-}
-
-/// One named version as tagged during the streaming run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VersionTagRow {
-    pub name: String,
-    pub lsn: u64,
-    pub total_butterflies: u64,
-    pub tip_checksum_u: u64,
-    pub tip_checksum_v: u64,
-}
-
-/// One `open_at` time travel to a tagged version. `replayed` is the tag
-/// distance in WAL records — the replay-cost-vs-tag-distance data point
-/// (`EXPERIMENTS.md`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeTravelRow {
-    pub name: String,
-    pub lsn: u64,
-    pub checkpoint_lsn: u64,
-    /// WAL records replayed to reach the tag (= tag distance from base).
-    pub replayed: usize,
-    /// Committed records past the tag that were skipped.
-    pub skipped_above: usize,
-    /// Recovered butterflies + both tip checksums equal the reference
-    /// trajectory's at this boundary (asserted during the run).
-    pub matches_reference: bool,
-    /// `verify_against_scratch` passed on the time-travelled engine.
-    pub oracle_verified: bool,
-    pub time_open_secs: f64,
-}
-
-/// One check of the diff law `apply(at(a), diff(a, b)) = at(b)`
-/// (`VERSIONING.md` §5.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DiffLawRow {
-    pub from: String,
-    pub to: String,
-    /// Ops in the materialized diff (last-op-per-edge, so at most one per
-    /// touched edge).
-    pub ops: usize,
-    pub inserts: usize,
-    pub deletes: usize,
-    /// Applying the diff to `at(from)` produced a state with the same edge
-    /// set, butterfly count, and tip checksums as `at(to)` (asserted).
-    pub law_holds: bool,
-}
-
-/// Derive operators (`VERSIONING.md` §6) cross-checked against brute-force
-/// set algebra on the first and last tagged states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeriveChecksRow {
-    pub subgraph_edges: usize,
-    pub union_edges: usize,
-    pub difference_edges: usize,
-    /// Each operator's edge set equalled the brute-force construction
-    /// (asserted during the run).
-    pub subgraph_matches: bool,
-    pub union_matches: bool,
-    pub difference_matches: bool,
 }
 
 /// `repro smoke`: small deterministic runs cross-checked against the

@@ -1,10 +1,9 @@
-//! Golden-snapshot tests for `repro smoke --json`, `repro dynamic --json`,
-//! `repro serve --json`, `repro recover --json`, and `repro versions
+//! Golden-snapshot tests for `repro smoke --json` and `repro dynamic
 //! --json`.
 //!
 //! Runs the real harness binary, scrubs timings, and pins the documents
-//! against `tests/golden/repro_{smoke,dynamic,serve,recover,versions}.json`
-//! at the repository root. Refresh after an intentional change with:
+//! against `tests/golden/repro_{smoke,dynamic}.json` at the repository
+//! root. Refresh after an intentional change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p receipt-bench --test repro_golden
@@ -69,142 +68,6 @@ fn smoke_json_matches_golden() {
 #[test]
 fn dynamic_json_matches_golden() {
     assert_matches_golden("dynamic", "repro_dynamic.json");
-}
-
-#[test]
-fn serve_json_matches_golden() {
-    // Timings and the reader-throughput telemetry are the only
-    // machine-dependent content; `scrub_timings` + `scrub_scheduler`
-    // (which also nulls `serve_telemetry`) canonicalize both.
-    assert_matches_golden("serve", "repro_serve.json");
-}
-
-#[test]
-fn serve_report_confirms_consistency() {
-    let doc = run_repro_json("serve");
-    let report: receipt_bench::report::ReproReport = serde_json::from_str(&doc).unwrap();
-    assert_eq!(report.experiment, "serve");
-    let serve = report.serve.expect("serve section populated");
-    assert!(serve.final_verified);
-    assert!(!serve.batches.is_empty());
-    assert_eq!(serve.final_epoch, serve.batches.len() as u64);
-    for (i, row) in serve.batches.iter().enumerate() {
-        assert_eq!(row.epoch, i as u64 + 1, "epochs count batches");
-    }
-    let t = serve
-        .serve_telemetry
-        .expect("telemetry present in live runs");
-    assert_eq!(t.inconsistencies, 0);
-    assert!(t.reads_total > 0, "readers must have completed rounds");
-    assert_eq!(t.reads_per_reader.len(), serve.readers);
-    assert!(t.epochs_observed >= 1 && t.epochs_observed <= serve.batches.len() + 1);
-}
-
-#[test]
-fn recover_json_matches_golden() {
-    assert_matches_golden("recover", "repro_recover.json");
-}
-
-#[test]
-fn recover_report_confirms_crash_matrix() {
-    let doc = run_repro_json("recover");
-    let report: receipt_bench::report::ReproReport = serde_json::from_str(&doc).unwrap();
-    assert_eq!(report.experiment, "recover");
-    let recover = report.recover.expect("recover section populated");
-    assert!(recover.all_recoveries_verified);
-    assert!(recover.batches >= 2, "matrix needs multiple boundaries");
-    // Every boundary appears with all three crash kinds.
-    for boundary in 1..=recover.batches {
-        for kind in ["kill-after-append", "kill-after-apply", "torn-append"] {
-            let row = recover
-                .crash_matrix
-                .iter()
-                .find(|r| r.boundary == boundary && r.kind == kind)
-                .unwrap_or_else(|| panic!("missing {kind} @ {boundary}"));
-            assert!(row.matches_reference, "{kind} @ {boundary}");
-            assert!(row.oracle_verified, "{kind} @ {boundary}");
-            // Kill crashes keep the boundary's record; torn ones lose it.
-            if kind == "torn-append" {
-                assert!(
-                    row.repaired && row.discarded_bytes > 0,
-                    "{kind} @ {boundary}"
-                );
-                assert_eq!(row.replayed, boundary - 1, "{kind} @ {boundary}");
-            } else {
-                assert!(
-                    !row.repaired && row.discarded_bytes == 0,
-                    "{kind} @ {boundary}"
-                );
-                assert_eq!(row.replayed, boundary, "{kind} @ {boundary}");
-            }
-        }
-    }
-    // The two kill kinds leave identical bytes, so their recovered states
-    // must agree row for row.
-    for boundary in 1..=recover.batches {
-        let find = |kind: &str| {
-            recover
-                .crash_matrix
-                .iter()
-                .find(|r| r.boundary == boundary && r.kind == kind)
-                .unwrap()
-        };
-        let (a, b) = (find("kill-after-append"), find("kill-after-apply"));
-        assert_eq!(a.tip_checksum_u, b.tip_checksum_u);
-        assert_eq!(a.tip_checksum_v, b.tip_checksum_v);
-        assert_eq!(a.total_butterflies, b.total_butterflies);
-    }
-    let fold = &recover.checkpoint_fold;
-    assert!(fold.matches_reference && fold.oracle_verified);
-    assert!(fold.checkpoint_lsn > 0, "folding must have checkpointed");
-    assert!(!recover.load_cost.is_empty());
-    for row in &recover.load_cost {
-        assert!(row.round_trip_identical, "{}", row.graph);
-    }
-}
-
-#[test]
-fn versions_json_matches_golden() {
-    assert_matches_golden("versions", "repro_versions.json");
-}
-
-#[test]
-fn versions_report_confirms_oracles() {
-    let doc = run_repro_json("versions");
-    let report: receipt_bench::report::ReproReport = serde_json::from_str(&doc).unwrap();
-    assert_eq!(report.experiment, "versions");
-    let versions = report.versions.expect("versions section populated");
-    assert!(versions.all_time_travels_verified);
-    // One tag per boundary plus the v0 base, LSNs counting batches.
-    assert_eq!(versions.tags.len(), versions.batches + 1);
-    for (b, tag) in versions.tags.iter().enumerate() {
-        assert_eq!(tag.name, format!("v{b}"));
-        assert_eq!(tag.lsn, b as u64);
-    }
-    // Every tag was travelled to, replaying exactly its LSN prefix, and
-    // both the reference comparison and the from-scratch oracle held.
-    assert_eq!(versions.time_travel.len(), versions.tags.len());
-    for (b, row) in versions.time_travel.iter().enumerate() {
-        assert_eq!(row.replayed, b, "{} replays its prefix", row.name);
-        assert_eq!(row.skipped_above, versions.batches - b, "{}", row.name);
-        assert!(row.matches_reference, "{}", row.name);
-        assert!(row.oracle_verified, "{}", row.name);
-    }
-    // Diff law on every adjacent pair plus the full span; the span diff
-    // is bounded by last-op-per-edge (≤ sum of the per-batch diffs).
-    assert_eq!(versions.diff_law.len(), versions.batches + 1);
-    let adjacent_ops: usize = versions.diff_law[..versions.batches]
-        .iter()
-        .map(|d| d.ops)
-        .sum();
-    let span = versions.diff_law.last().unwrap();
-    assert!(span.ops <= adjacent_ops, "span diff must coalesce ops");
-    for d in &versions.diff_law {
-        assert!(d.law_holds, "{} -> {}", d.from, d.to);
-        assert_eq!(d.ops, d.inserts + d.deletes, "{} -> {}", d.from, d.to);
-    }
-    let dc = &versions.derive_checks;
-    assert!(dc.subgraph_matches && dc.union_matches && dc.difference_matches);
 }
 
 #[test]

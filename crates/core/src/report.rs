@@ -559,9 +559,9 @@ pub struct DeriveReport {
 /// with `time_` are zeroed — `Duration` objects get `secs`/`nanos` set to
 /// 0, plain numbers (`time_*_secs` floats in `repro` rows) become 0.
 /// Recurses through arrays and objects — including `time_`-prefixed keys
-/// holding non-timing containers (e.g. the `time_travel` row array of the
-/// versions experiment), whose *nested* timing leaves must still be
-/// scrubbed. Every other field is untouched.
+/// that hold a non-timing container (an array or an object other than a
+/// `Duration`), whose *nested* timing leaves must still be scrubbed.
+/// Every other field is untouched.
 ///
 /// This is the single source of truth for snapshot normalization: the
 /// golden tests, the differential runner, and the CI drift check all call
@@ -601,15 +601,14 @@ pub fn scrub_timings(value: &mut serde_json::Value) {
     }
 }
 
-/// Canonicalizes the runtime-telemetry sections of a parsed report by
-/// replacing any `scheduler` or `serve_telemetry` key's value with
-/// `null`, recursively. Scheduler counters (steals, per-worker execution
-/// counts) and serve-session throughput (reads served, reads per epoch)
-/// depend on OS scheduling and are therefore nondeterministic run to run —
-/// like timings, they are diagnostics, not results. Golden-snapshot and
-/// cross-thread-count comparisons scrub them alongside [`scrub_timings`];
-/// the CI scheduler gate reads them from the *unscrubbed* document via
-/// `repro check-sched` instead.
+/// Canonicalizes the scheduler telemetry of a parsed report by replacing
+/// any `scheduler` key's value with `null`, recursively. Scheduler
+/// counters (steals, per-worker execution counts) depend on OS scheduling
+/// and are therefore nondeterministic run to run — like timings, they are
+/// diagnostics, not results. Golden-snapshot and cross-thread-count
+/// comparisons scrub them alongside [`scrub_timings`]; the CI scheduler
+/// gate reads them from the *unscrubbed* document via `repro check-sched`
+/// instead.
 pub fn scrub_scheduler(value: &mut serde_json::Value) {
     match value {
         serde_json::Value::Array(items) => {
@@ -619,7 +618,7 @@ pub fn scrub_scheduler(value: &mut serde_json::Value) {
         }
         serde_json::Value::Object(map) => {
             for (key, entry) in map.iter_mut() {
-                if key == "scheduler" || key == "serve_telemetry" {
+                if key == "scheduler" {
                     *entry = serde_json::Value::Null;
                 } else {
                     scrub_scheduler(entry);

@@ -75,17 +75,6 @@ pub const VERSIONED_CHILDREN: &[(&str, &str)] = &[
     ("Table3Row", "ReproReport"),
     ("WingRow", "ReproReport"),
     ("DynamicRow", "ReproReport"),
-    ("ServeExperimentReport", "ReproReport"),
-    ("ServeBatchRow", "ReproReport"),
-    ("RecoverExperimentReport", "ReproReport"),
-    ("CrashRow", "ReproReport"),
-    ("CheckpointFoldRow", "ReproReport"),
-    ("LoadCostRow", "ReproReport"),
-    ("VersionsExperimentReport", "ReproReport"),
-    ("VersionTagRow", "ReproReport"),
-    ("TimeTravelRow", "ReproReport"),
-    ("DiffLawRow", "ReproReport"),
-    ("DeriveChecksRow", "ReproReport"),
     ("SmokeReport", "ReproReport"),
     // receipt_lint::report — findings ride inside the LintReport.
     ("FindingRow", "LintReport"),

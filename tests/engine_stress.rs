@@ -2,8 +2,8 @@
 //! against [`StreamEngine`] snapshots while a writer applies a seeded
 //! batch schedule. Every answer a reader computes must be internally
 //! consistent with exactly one published epoch — readers never observe a
-//! half-applied batch — and the writer's trajectory must pass the shared
-//! from-scratch differential gate at the end.
+//! half-applied batch — and every batch the writer publishes must first
+//! pass the shared from-scratch differential gate.
 
 use bigraph::{gen, Side};
 use receipt::engine::{EngineOptions, EngineSnapshot, StreamEngine};
@@ -67,7 +67,9 @@ fn concurrent_readers_always_see_one_published_epoch() {
             config: Config::default().with_partitions(6),
             dirty_threshold: 0.15,
             compact_threshold: 0.2,
-            verify: false,
+            // Every batch passes the from-scratch oracle before it is
+            // published, while the readers run.
+            verify: true,
         },
     );
     let readers = 4;

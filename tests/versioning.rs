@@ -31,7 +31,9 @@ fn options() -> EngineOptions {
 
 /// The state fingerprint the tests compare: total butterflies plus both
 /// per-side tip checksums (the same triple a `VersionRef` pins, §3.2).
-fn state_of(engine: &StreamEngine) -> (u64, u64, u64) {
+type Fingerprint = (u64, u64, u64);
+
+fn state_of(engine: &StreamEngine) -> Fingerprint {
     let snap = engine.snapshot();
     (
         snap.total_butterflies(),
@@ -47,19 +49,20 @@ fn edge_set(engine: &StreamEngine) -> BTreeSet<(u32, u32)> {
 /// Streams `batches` through a durable store at `dir` with folding
 /// disabled (§3.4: `--checkpoint-every 0` keeps every tag serviceable),
 /// tagging `v{b}` at every boundary. Returns the reference trajectory,
-/// index 0 being the pre-batch state.
+/// each boundary's fingerprint with its edge set, index 0 being the
+/// pre-batch state.
 fn build_tagged_store(
     dir: &Path,
     g: &BipartiteCsr,
     batches: &[Vec<bigraph::dynamic::EdgeOp>],
-) -> Vec<(u64, u64, u64)> {
+) -> Vec<(Fingerprint, BTreeSet<(u32, u32)>)> {
     let (engine, info) = StreamEngine::open_durable(dir, Some(g.clone()), options(), 0).unwrap();
     assert!(info.created);
     let mut store = VersionStore::open(dir).unwrap();
     store
         .tag_snapshot("v0", engine.end_lsn().unwrap(), &engine.snapshot())
         .unwrap();
-    let mut states = vec![state_of(&engine)];
+    let mut states = vec![(state_of(&engine), edge_set(&engine))];
     for (b, ops) in batches.iter().enumerate() {
         engine.apply_batch(ops).unwrap();
         store
@@ -69,14 +72,14 @@ fn build_tagged_store(
                 &engine.snapshot(),
             )
             .unwrap();
-        states.push(state_of(&engine));
+        states.push((state_of(&engine), edge_set(&engine)));
     }
     states
 }
 
 /// §3.2 + §4: time travel to every tagged boundary reproduces the
-/// uninterrupted run's state exactly, and each materialized engine
-/// passes the from-scratch oracle.
+/// uninterrupted run's state and edge set exactly, and each materialized
+/// engine passes the from-scratch oracle.
 #[test]
 fn time_travel_matches_uninterrupted_run_at_every_boundary() {
     let g = gen::zipf(40, 30, 160, 0.5, 0.9, 17);
@@ -84,10 +87,29 @@ fn time_travel_matches_uninterrupted_run_at_every_boundary() {
     let dir = scratch("travel");
     let states = build_tagged_store(&dir, &g, &batches);
 
-    for (boundary, expected) in states.iter().enumerate() {
+    // §3.2: a fresh process reads back one tag per boundary, `v{b}` at
+    // LSN `b`, pinning that boundary's fingerprint.
+    let tags: Vec<(String, u64, Fingerprint)> = VersionStore::open(&dir)
+        .unwrap()
+        .list()
+        .iter()
+        .map(|t| {
+            let pinned = (t.total_butterflies, t.tip_checksum_u, t.tip_checksum_v);
+            (t.name.clone(), t.lsn, pinned)
+        })
+        .collect();
+    let expected: Vec<(String, u64, Fingerprint)> = states
+        .iter()
+        .enumerate()
+        .map(|(b, (state, _))| (format!("v{b}"), b as u64, *state))
+        .collect();
+    assert_eq!(tags, expected);
+
+    for (boundary, (state, edges)) in states.iter().enumerate() {
         let name = format!("v{boundary}");
         let (historic, info) = StreamEngine::open_at(&dir, &name, options()).unwrap();
-        assert_eq!(state_of(&historic), *expected, "{name}");
+        assert_eq!(state_of(&historic), *state, "{name}");
+        assert_eq!(edge_set(&historic), *edges, "{name} edge set");
         // §4: records above the tag exist but must not replay.
         assert_eq!(info.replayed, boundary, "{name} replays its LSN prefix");
         assert_eq!(info.skipped_above, batches.len() - boundary, "{name}");
@@ -143,9 +165,21 @@ fn diff_composed_with_at_reaches_the_target_version() {
 
     let mut pairs: Vec<(usize, usize)> = (1..=batches.len()).map(|b| (b - 1, b)).collect();
     pairs.push((0, batches.len()));
+    let mut adjacent_ops = 0;
     for (ia, ib) in pairs {
         let (a, b) = (format!("v{ia}"), format!("v{ib}"));
         let diff = store.diff(&a, &b).unwrap();
+        if ib == ia + 1 {
+            adjacent_ops += diff.len();
+        } else {
+            // §5.2: the span keeps only the last op per edge, so it holds
+            // no more ops than the adjacent diffs it covers.
+            assert!(
+                diff.len() <= adjacent_ops,
+                "diff({a}, {b}) has {} ops, the adjacent diffs {adjacent_ops}",
+                diff.len()
+            );
+        }
         // §5.2: last-op-per-edge — at most one op per touched edge,
         // sorted by (u, v).
         let keys: Vec<(u32, u32)> = diff.iter().map(|op| op.edge()).collect();
@@ -160,7 +194,7 @@ fn diff_composed_with_at_reaches_the_target_version() {
         if !diff.is_empty() {
             replay.apply_batch(&diff).unwrap();
         }
-        assert_eq!(state_of(&replay), states[ib], "diff law {a} -> {b}");
+        assert_eq!(state_of(&replay), states[ib].0, "diff law {a} -> {b}");
         assert_eq!(edge_set(&replay), edge_set(&at_b), "{a} -> {b} edge set");
     }
 
