@@ -3,36 +3,24 @@
 //!
 //! ```text
 //! cargo run --release -p receipt-bench --bin repro -- <experiment> [--json] [--out FILE]
-//!   table2   dataset statistics (sizes, butterflies, wedges, θ_max)
-//!   table3   t / wedges / sync-rounds for pvBcnt, BUP, ParB, RECEIPT, peel_live
-//!   fig4     cumulative tip-number distribution (Tr analog, both sides)
-//!   fig5     RECEIPT execution time vs partition count P
-//!   fig6     ablation: wedges for RECEIPT / RECEIPT- / RECEIPT--
-//!   fig7     ablation: time for RECEIPT / RECEIPT- / RECEIPT--
-//!   fig8     wedge-traversal breakup (CD / FD / pvBcnt)
-//!   fig9     execution-time breakup (CD / FD / pvBcnt)
-//!   fig10    thread scaling, peeling U
-//!   fig11    thread scaling, peeling V
-//!   wing     §7 extension: parallel vs sequential wing decomposition
-//!   dynamic  batch-dynamic maintenance: per-batch incremental update cost
-//!            vs from-scratch recount + re-peel, oracle-checked
-//!   projection  §1 motivation: unipartite-projection blowup
-//!   smoke    small deterministic oracle-checked runs (CI / golden snapshot)
-//!   all      everything above except smoke, in order
-//!
-//!   check-threads FILE...   CI gate: decode two or more `--json` reports
-//!            (e.g. the same experiment at RAYON_NUM_THREADS 1 and 4, or
-//!            `tipdecomp tip --threads 1` and `--threads 2`), scrub timings,
-//!            scheduler telemetry and the requested `config.threads`, and
-//!            fail (exit 1) unless every machine-independent field is
-//!            identical — different thread counts must produce the same
-//!            decomposition results
-//!   check-sched FILE        CI gate: decode one `--json` report's
-//!            `scheduler` section and fail (exit 1) unless the counters
-//!            match the run's thread budget — ≥ 2 threads must show > 1
-//!            worker executing tasks and ≥ 1 successful steal, 1 thread
-//!            must show zero steals (the single-thread fast path)
+//! cargo run --release -p receipt-bench --bin repro -- --help
 //! ```
+//!
+//! `--help` (also `-h` or `help`) prints one line per experiment and per
+//! check subcommand from the `KNOWN_EXPERIMENTS` and `CHECKS` tables; `all`
+//! runs every experiment except `smoke`, in table order. The checks are
+//! CI gates over `--json` reports:
+//!
+//! * `check-threads FILE...` decodes two or more reports (e.g. the same
+//!   experiment at RAYON_NUM_THREADS 1 and 4, or `tipdecomp tip
+//!   --threads 1` and `--threads 2`), scrubs timings, scheduler telemetry
+//!   and the requested `config.threads`, and fails (exit 1) unless every
+//!   machine-independent field is identical — different thread counts
+//!   must produce the same decomposition results.
+//! * `check-sched FILE` decodes one report's `scheduler` section and fails
+//!   (exit 1) unless the counters match the run's thread budget — ≥ 2
+//!   threads must show > 1 worker executing tasks and ≥ 1 successful
+//!   steal, 1 thread must show zero steals (the single-thread fast path).
 //!
 //! `--json` emits a versioned [`receipt_bench::report::ReproReport`]
 //! document instead of text (supported for `table2`, `table3`, `wing`,
@@ -63,6 +51,7 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
+            "--help" | "-h" => return print_help(),
             "--out" | "--output" => match it.next() {
                 Some(path) => out = Some(path.clone()),
                 None => fail("--out expects a file path"),
@@ -80,6 +69,7 @@ fn main() {
     // The check subcommands consume file operands; everything else is a
     // single experiment name.
     match what.as_str() {
+        "help" => return print_help(),
         "check-threads" => {
             if operands.len() < 2 {
                 fail("check-threads expects two or more report files");
@@ -101,12 +91,10 @@ fn main() {
     if json {
         let report = match build_json(&what) {
             Some(report) => report,
-            None if KNOWN_EXPERIMENTS.contains(&what.as_str()) => fail(&format!(
+            None if KNOWN_EXPERIMENTS.iter().any(|&(name, _)| name == what) => fail(&format!(
                 "`{what}` has no JSON form; supported: table2, table3, wing, dynamic, smoke"
             )),
-            None => fail(&format!(
-                "unknown experiment `{what}`; see --help in the module docs"
-            )),
+            None => unknown_experiment(&what),
         };
         let text = serde_json::to_string_pretty(&report).expect("report serializes");
         match &out {
@@ -154,29 +142,49 @@ fn main() {
             dynamic_experiment();
             projection_motivation();
         }
-        other => fail(&format!(
-            "unknown experiment `{other}`; see --help in the module docs"
-        )),
+        other => unknown_experiment(other),
     }
 }
 
-const KNOWN_EXPERIMENTS: &[&str] = &[
-    "table2",
-    "table3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "wing",
-    "dynamic",
-    "projection",
-    "smoke",
-    "all",
+/// Every experiment `repro` runs, with the line `--help` prints for it.
+const KNOWN_EXPERIMENTS: &[(&str, &str)] = &[
+    ("table2", "dataset statistics"),
+    ("table3", "time, wedges and sync rounds per algorithm"),
+    ("fig4", "tip-number distribution, Tr analog"),
+    ("fig5", "RECEIPT time vs partition count P"),
+    ("fig6", "ablation: wedges of RECEIPT, -, --"),
+    ("fig7", "ablation: time of RECEIPT, -, --"),
+    ("fig8", "wedge breakup: CD, FD, pvBcnt"),
+    ("fig9", "time breakup: CD, FD, pvBcnt"),
+    ("fig10", "thread scaling, peeling U"),
+    ("fig11", "thread scaling, peeling V"),
+    ("wing", "§7: parallel vs sequential wing peel"),
+    ("dynamic", "incremental batches vs from scratch"),
+    ("projection", "§1: unipartite-projection blowup"),
+    ("smoke", "small oracle-checked runs (golden)"),
+    ("all", "everything above except smoke"),
 ];
+
+/// The CI gates over `--json` reports, with the line `--help` prints.
+const CHECKS: &[(&str, &str)] = &[
+    ("check-threads", "FILE...: results agree across runs"),
+    ("check-sched", "FILE: scheduler counters fit threads"),
+];
+
+fn print_help() {
+    println!("usage: repro <experiment> [--json] [--out FILE] | repro <check> FILE...");
+    for (name, summary) in KNOWN_EXPERIMENTS.iter().chain(CHECKS) {
+        println!("  {name:<14} {summary}");
+    }
+}
+
+fn unknown_experiment(what: &str) -> ! {
+    let names: Vec<&str> = KNOWN_EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    fail(&format!(
+        "unknown experiment `{what}`; experiments: {}",
+        names.join(", ")
+    ))
+}
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");

@@ -62,7 +62,7 @@ impl GraphBuilder {
     }
 
     /// Builds the dual-CSR graph: validates endpoints, sorts, dedups, then
-    /// materializes both adjacency directions via counting sort.
+    /// lays out the U rows and scatters them into the V rows.
     pub fn build(self) -> Result<BipartiteCsr, BuildError> {
         let GraphBuilder { nu, nv, mut edges } = self;
         if nu > VertexId::MAX as usize {
@@ -89,24 +89,7 @@ impl GraphBuilder {
         parutil::inclusive_prefix_sum(&mut u_counts);
         let u_offsets: Vec<usize> = u_counts.iter().map(|&c| c as usize).collect();
         let u_adj: Vec<VertexId> = edges.iter().map(|&(_, v)| v).collect();
-
-        // V-side CSR via counting sort; neighbour lists come out sorted
-        // because edges are scanned in (u, v) order.
-        let mut v_counts = vec![0u64; nv + 1];
-        for &(_, v) in &edges {
-            v_counts[v as usize + 1] += 1;
-        }
-        parutil::inclusive_prefix_sum(&mut v_counts);
-        let v_offsets: Vec<usize> = v_counts.iter().map(|&c| c as usize).collect();
-        let mut v_adj = vec![0 as VertexId; edges.len()];
-        let mut cursor: Vec<usize> = v_offsets[..nv].to_vec();
-        for &(u, v) in &edges {
-            let slot = &mut cursor[v as usize];
-            v_adj[*slot] = u;
-            *slot += 1;
-        }
-
-        Ok(BipartiteCsr::from_parts(u_offsets, u_adj, v_offsets, v_adj))
+        Ok(BipartiteCsr::from_u_rows(nv, u_offsets, u_adj))
     }
 }
 

@@ -71,6 +71,32 @@ impl BipartiteCsr {
         }
     }
 
+    /// Builds from the U rows alone: row `u` is `u_adj[u_offsets[u]..
+    /// u_offsets[u + 1]]`, ascending and duplicate-free, every id `< nv`.
+    /// The V rows come from one counting scatter, sorted because the U
+    /// rows are scanned in ascending `u`.
+    pub(crate) fn from_u_rows(nv: usize, u_offsets: Vec<usize>, u_adj: Vec<VertexId>) -> Self {
+        let mut v_offsets = vec![0usize; nv + 1];
+        for &v in &u_adj {
+            v_offsets[v as usize + 1] += 1;
+        }
+        let mut end = 0;
+        for offset in &mut v_offsets {
+            end += *offset;
+            *offset = end;
+        }
+        let mut cursor = v_offsets[..nv].to_vec();
+        let mut v_adj = vec![0 as VertexId; u_adj.len()];
+        for (u, row) in u_offsets.windows(2).enumerate() {
+            for &v in &u_adj[row[0]..row[1]] {
+                let slot = &mut cursor[v as usize];
+                v_adj[*slot] = u as VertexId;
+                *slot += 1;
+            }
+        }
+        Self::from_parts(u_offsets, u_adj, v_offsets, v_adj)
+    }
+
     /// An empty graph with `nu` isolated U-vertices and `nv` isolated
     /// V-vertices.
     pub fn empty(nu: usize, nv: usize) -> Self {

@@ -1,16 +1,19 @@
 //! Batch-dynamic bipartite graphs: a delta overlay over [`BipartiteCsr`].
 //!
 //! Real bipartite streams (user–item, author–paper) arrive as batches of
-//! edge insertions and deletions. Rebuilding the CSR per batch would cost
-//! `O(m log m)` regardless of batch size, so [`DynamicBigraph`] keeps the
-//! last compacted CSR as an immutable *base* plus two sorted overlays —
-//! edges added since, edges removed since — and answers adjacency queries
-//! through a sorted merge of base and overlay. Once the overlay grows past
-//! a configurable fraction of the base (the same traversed-work-vs-rebuild
-//! trade DGM makes in §4.2), [`DynamicBigraph::needs_compaction`] says so,
-//! and the owner folds the overlay into the CSR it materialized
-//! ([`DynamicBigraph::compact`]): the butterfly index does, after it has
-//! patched its base-aligned per-edge counts.
+//! edge insertions and deletions. [`DynamicBigraph`] keeps the last
+//! compacted CSR as an immutable, shared *base* plus two sorted overlays —
+//! edges added since, edges removed since. The overlay answers membership
+//! only; adjacency is read from [`DynamicBigraph::materialize`], one
+//! ordered merge of base and overlay in `O(|E| + overlay)`, which the
+//! butterfly index runs once per batch that changes an edge. The overlay
+//! remains so that state aligned with the base's edge ids (the index's
+//! per-edge counts) stays valid between compactions: once the overlay
+//! grows past a configurable fraction of the base (the same
+//! traversed-work-vs-rebuild trade DGM makes in §4.2),
+//! [`DynamicBigraph::needs_compaction`] says so, and the owner installs the
+//! CSR it materialized as the new base ([`DynamicBigraph::compact`]) after
+//! it has realigned its per-edge counts.
 //!
 //! Sides only grow (ops may reference vertices beyond the current sizes);
 //! vertex ids are stable for the lifetime of the graph, which is what lets
@@ -22,7 +25,6 @@
 //! the sign may be glued to `u`), `%`/`#` comments ignored, batches
 //! separated by blank lines.
 
-use crate::builder::GraphBuilder;
 use crate::csr::BipartiteCsr;
 use crate::io::IoError;
 use crate::VertexId;
@@ -30,6 +32,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read};
+use std::sync::Arc;
 
 /// One streamed edge operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,14 +71,11 @@ pub struct BatchApplication {
 /// A bipartite graph that absorbs batched edge insertions/deletions.
 #[derive(Debug, Clone)]
 pub struct DynamicBigraph {
-    base: BipartiteCsr,
+    base: Arc<BipartiteCsr>,
     /// Edges present but not in `base`, keyed `(u, v)`.
     added: BTreeSet<(VertexId, VertexId)>,
-    /// Mirror of `added` keyed `(v, u)` for V-side adjacency.
-    added_t: BTreeSet<(VertexId, VertexId)>,
     /// Edges in `base` that have been deleted, keyed `(u, v)`.
     removed: BTreeSet<(VertexId, VertexId)>,
-    removed_t: BTreeSet<(VertexId, VertexId)>,
     /// Logical side sizes (≥ the base's — sides grow, never shrink).
     num_u: usize,
     num_v: usize,
@@ -88,22 +88,16 @@ pub struct DynamicBigraph {
 pub const DEFAULT_COMPACT_THRESHOLD: f64 = 0.25;
 
 impl DynamicBigraph {
-    /// Wraps a static graph with an empty overlay.
-    pub fn new(base: BipartiteCsr) -> Self {
-        Self::with_threshold(base, DEFAULT_COMPACT_THRESHOLD)
-    }
-
-    /// `threshold` is the overlay-to-base edge ratio that triggers
-    /// recompaction; values ≤ 0 recompact after every mutating batch.
-    pub fn with_threshold(base: BipartiteCsr, threshold: f64) -> Self {
+    /// Wraps a static graph with an empty overlay. `threshold` is the
+    /// overlay-to-base edge ratio that triggers recompaction; values ≤ 0
+    /// recompact after every mutating batch.
+    pub fn with_threshold(base: Arc<BipartiteCsr>, threshold: f64) -> Self {
         DynamicBigraph {
             num_u: base.num_u(),
             num_v: base.num_v(),
             base,
             added: BTreeSet::new(),
-            added_t: BTreeSet::new(),
             removed: BTreeSet::new(),
-            removed_t: BTreeSet::new(),
             compact_threshold: threshold,
             compactions: 0,
         }
@@ -153,86 +147,6 @@ impl DynamicBigraph {
             && !self.removed.contains(&(u, v))
     }
 
-    /// Secondary neighbours of `u`, ascending: the base adjacency minus
-    /// removed edges, merged with the added overlay.
-    pub fn neighbors_u(&self, u: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        let base = if (u as usize) < self.base.num_u() {
-            self.base.neighbors_u(u)
-        } else {
-            &[]
-        };
-        merge_overlay(
-            base.iter()
-                .copied()
-                .filter(move |&v| !self.removed.contains(&(u, v))),
-            self.added
-                .range((u, 0)..=(u, VertexId::MAX))
-                .map(|&(_, v)| v),
-        )
-    }
-
-    /// Degree of `u` (base minus removed plus added overlay edges),
-    /// without materializing the merge. O(log overlay) — the kernel-
-    /// selection heuristics in the butterfly layer call this per wedge
-    /// to size intersections before choosing a kernel.
-    pub fn degree_u(&self, u: VertexId) -> usize {
-        let base = if (u as usize) < self.base.num_u() {
-            self.base.neighbors_u(u).len()
-        } else {
-            0
-        };
-        let removed = self.removed.range((u, 0)..=(u, VertexId::MAX)).count();
-        let added = self.added.range((u, 0)..=(u, VertexId::MAX)).count();
-        base - removed + added
-    }
-
-    /// The base CSR's adjacency slice for `u`, available only when the
-    /// overlay holds no entry for `u` (so the slice *is* the current
-    /// adjacency). Galloping intersection needs random access; callers
-    /// fall back to the [`Self::neighbors_u`] merge iterator on `None`.
-    pub fn base_only_neighbors_u(&self, u: VertexId) -> Option<&[VertexId]> {
-        let touched = self
-            .added
-            .range((u, 0)..=(u, VertexId::MAX))
-            .next()
-            .is_some()
-            || self
-                .removed
-                .range((u, 0)..=(u, VertexId::MAX))
-                .next()
-                .is_some();
-        if touched {
-            return None;
-        }
-        Some(if (u as usize) < self.base.num_u() {
-            self.base.neighbors_u(u)
-        } else {
-            &[]
-        })
-    }
-
-    /// Primary neighbours of `v`, ascending.
-    pub fn neighbors_v(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        let base = if (v as usize) < self.base.num_v() {
-            self.base.neighbors_v(v)
-        } else {
-            &[]
-        };
-        merge_overlay(
-            base.iter()
-                .copied()
-                .filter(move |&u| !self.removed_t.contains(&(v, u))),
-            self.added_t
-                .range((v, 0)..=(v, VertexId::MAX))
-                .map(|&(_, u)| u),
-        )
-    }
-
-    /// All current edges in `(u, v)` lexicographic order.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        (0..self.num_u as VertexId).flat_map(move |u| self.neighbors_u(u).map(move |v| (u, v)))
-    }
-
     /// Classifies a batch against the current graph *without applying it*.
     /// Within a batch the *last* op on an edge wins; ops that do not
     /// change the graph (inserting a present edge, deleting an absent one)
@@ -276,10 +190,15 @@ impl DynamicBigraph {
         for &(u, v) in &result.inserted {
             self.num_u = self.num_u.max(u as usize + 1);
             self.num_v = self.num_v.max(v as usize + 1);
-            self.insert_edge(u, v);
+            // Re-inserting a base edge that was deleted cancels the removal.
+            if !self.removed.remove(&(u, v)) {
+                self.added.insert((u, v));
+            }
         }
         for &(u, v) in &result.deleted {
-            self.delete_edge(u, v);
+            if !self.added.remove(&(u, v)) {
+                self.removed.insert((u, v));
+            }
         }
         result
     }
@@ -291,37 +210,42 @@ impl DynamicBigraph {
         self.overlay_len() > 0 && self.overlay_len() as f64 > budget
     }
 
-    fn insert_edge(&mut self, u: VertexId, v: VertexId) {
-        // Re-inserting a base edge that was deleted cancels the removal.
-        if self.removed.remove(&(u, v)) {
-            self.removed_t.remove(&(v, u));
-        } else {
-            self.added.insert((u, v));
-            self.added_t.insert((v, u));
-        }
-    }
-
-    fn delete_edge(&mut self, u: VertexId, v: VertexId) {
-        if self.added.remove(&(u, v)) {
-            self.added_t.remove(&(v, u));
-        } else {
-            self.removed.insert((u, v));
-            self.removed_t.insert((v, u));
-        }
-    }
-
-    /// Materializes the current graph as a standalone CSR.
+    /// Materializes the current graph as a standalone CSR: one ordered
+    /// merge that walks the base rows in `(u, v)` order and reads
+    /// `removed` and `added` in the same order, skipping or splicing.
+    /// `O(|E| + overlay)`, with no sort and no per-edge probe.
     pub fn materialize(&self) -> BipartiteCsr {
-        GraphBuilder::new(self.num_u, self.num_v)
-            .add_edges(self.edges())
-            .build()
-            .expect("dynamic overlay edges are in range by construction")
+        let mut u_offsets = Vec::with_capacity(self.num_u + 1);
+        let mut u_adj = Vec::with_capacity(self.num_edges());
+        u_offsets.push(0);
+        let mut added = self.added.iter().peekable();
+        let mut removed = self.removed.iter().peekable();
+        for u in 0..self.num_u as VertexId {
+            let base_row = if (u as usize) < self.base.num_u() {
+                self.base.neighbors_u(u)
+            } else {
+                &[]
+            };
+            for &v in base_row {
+                while let Some(&(_, a)) = added.next_if(|&&e| e < (u, v)) {
+                    u_adj.push(a);
+                }
+                if removed.next_if_eq(&&(u, v)).is_none() {
+                    u_adj.push(v);
+                }
+            }
+            while let Some(&(_, a)) = added.next_if(|&&(au, _)| au == u) {
+                u_adj.push(a);
+            }
+            u_offsets.push(u_adj.len());
+        }
+        BipartiteCsr::from_u_rows(self.num_v, u_offsets, u_adj)
     }
 
     /// Folds the overlay into a fresh base CSR (the DGM-style rebuild).
     /// `materialized` is [`Self::materialize`]'s graph for the current
-    /// state, which the caller usually needs anyway.
-    pub fn compact(&mut self, materialized: BipartiteCsr) {
+    /// state, which the caller already holds.
+    pub fn compact(&mut self, materialized: Arc<BipartiteCsr>) {
         assert_eq!(
             (
                 materialized.num_u(),
@@ -333,34 +257,9 @@ impl DynamicBigraph {
         );
         self.base = materialized;
         self.added.clear();
-        self.added_t.clear();
         self.removed.clear();
-        self.removed_t.clear();
         self.compactions += 1;
     }
-}
-
-/// Merges two ascending, duplicate-free streams into one. The overlay is
-/// disjoint from the filtered base by construction (an added edge is never
-/// also a base edge), so equal heads cannot occur — but the merge keeps
-/// both if they ever did, preserving sortedness.
-fn merge_overlay(
-    base: impl Iterator<Item = VertexId>,
-    overlay: impl Iterator<Item = VertexId>,
-) -> impl Iterator<Item = VertexId> {
-    let mut base = base.peekable();
-    let mut overlay = overlay.peekable();
-    std::iter::from_fn(move || match (base.peek(), overlay.peek()) {
-        (Some(&a), Some(&b)) => {
-            if a <= b {
-                base.next()
-            } else {
-                overlay.next()
-            }
-        }
-        (Some(_), None) => base.next(),
-        (None, _) => overlay.next(),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -459,20 +358,14 @@ mod tests {
         from_edges(3, 3, &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]).unwrap()
     }
 
-    fn adj_u(g: &DynamicBigraph, u: VertexId) -> Vec<VertexId> {
-        g.neighbors_u(u).collect()
-    }
-
-    fn adj_v(g: &DynamicBigraph, v: VertexId) -> Vec<VertexId> {
-        g.neighbors_v(v).collect()
+    fn overlay(threshold: f64) -> DynamicBigraph {
+        DynamicBigraph::with_threshold(Arc::new(sample()), threshold)
     }
 
     #[test]
     fn fresh_graph_mirrors_base() {
-        let g = DynamicBigraph::new(sample());
+        let g = overlay(DEFAULT_COMPACT_THRESHOLD);
         assert_eq!(g.num_edges(), 5);
-        assert_eq!(adj_u(&g, 0), vec![0, 1]);
-        assert_eq!(adj_v(&g, 0), vec![0, 1]);
         assert!(g.has_edge(2, 2));
         assert!(!g.has_edge(2, 0));
         assert_eq!(g.materialize(), sample());
@@ -480,27 +373,24 @@ mod tests {
 
     #[test]
     fn insert_and_delete_through_overlay() {
-        let mut g = DynamicBigraph::with_threshold(sample(), 100.0);
+        let mut g = overlay(100.0);
         let r = g.apply_batch(&[EdgeOp::Insert(2, 0), EdgeOp::Delete(0, 1)]);
         assert_eq!(r.inserted, vec![(2, 0)]);
         assert_eq!(r.deleted, vec![(0, 1)]);
         assert_eq!(r.skipped, 0);
         assert!(!r.compacted);
         assert_eq!(g.num_edges(), 5);
-        assert_eq!(adj_u(&g, 0), vec![0]);
-        assert_eq!(adj_u(&g, 2), vec![0, 2]);
-        assert_eq!(adj_v(&g, 0), vec![0, 1, 2]);
-        assert_eq!(adj_v(&g, 1), vec![1]);
         assert!(g.has_edge(2, 0) && !g.has_edge(0, 1));
-        // Materialized CSR agrees with the overlay view.
         let m = g.materialize();
+        assert_eq!(m.neighbors_u(0), &[0]);
         assert_eq!(m.neighbors_u(2), &[0, 2]);
         assert_eq!(m.neighbors_v(0), &[0, 1, 2]);
+        assert_eq!(m.neighbors_v(1), &[1]);
     }
 
     #[test]
     fn noop_ops_are_skipped() {
-        let mut g = DynamicBigraph::with_threshold(sample(), 100.0);
+        let mut g = overlay(100.0);
         let r = g.apply_batch(&[EdgeOp::Insert(0, 0), EdgeOp::Delete(2, 0)]);
         assert_eq!(r.skipped, 2);
         assert!(r.inserted.is_empty() && r.deleted.is_empty());
@@ -509,7 +399,7 @@ mod tests {
 
     #[test]
     fn last_op_per_edge_wins_within_a_batch() {
-        let mut g = DynamicBigraph::with_threshold(sample(), 100.0);
+        let mut g = overlay(100.0);
         // Insert then delete the same absent edge: net no-op, 2 skipped
         // (the overridden insert plus the delete of an absent edge).
         let r = g.apply_batch(&[EdgeOp::Insert(2, 0), EdgeOp::Delete(2, 0)]);
@@ -524,7 +414,7 @@ mod tests {
 
     #[test]
     fn delete_then_reinsert_across_batches_cancels() {
-        let mut g = DynamicBigraph::with_threshold(sample(), 100.0);
+        let mut g = overlay(100.0);
         g.apply_batch(&[EdgeOp::Delete(0, 0)]);
         assert_eq!(g.overlay_len(), 1);
         g.apply_batch(&[EdgeOp::Insert(0, 0)]);
@@ -534,26 +424,26 @@ mod tests {
 
     #[test]
     fn sides_grow_to_cover_new_ids() {
-        let mut g = DynamicBigraph::with_threshold(sample(), 100.0);
+        let mut g = overlay(100.0);
         let r = g.apply_batch(&[EdgeOp::Insert(5, 7)]);
         assert_eq!(r.inserted, vec![(5, 7)]);
         assert_eq!((g.num_u(), g.num_v()), (6, 8));
-        assert_eq!(adj_u(&g, 5), vec![7]);
-        assert_eq!(adj_v(&g, 7), vec![5]);
         let m = g.materialize();
         assert_eq!((m.num_u(), m.num_v()), (6, 8));
+        assert_eq!(m.neighbors_u(5), &[7]);
+        assert_eq!(m.neighbors_v(7), &[5]);
     }
 
     #[test]
     fn threshold_triggers_compaction() {
         // Base has 5 edges; threshold 0.2 → overlay of 2 exceeds 1.0.
-        let mut g = DynamicBigraph::with_threshold(sample(), 0.2);
+        let mut g = overlay(0.2);
         g.apply_batch(&[EdgeOp::Insert(2, 0)]);
         assert!(!g.needs_compaction(), "1 overlay entry ≤ 0.2·5");
         let r = g.apply_batch(&[EdgeOp::Insert(2, 1)]);
         assert!(!r.compacted, "applying never compacts");
         assert!(g.needs_compaction());
-        g.compact(g.materialize());
+        g.compact(Arc::new(g.materialize()));
         assert!(!g.needs_compaction());
         assert_eq!(g.overlay_len(), 0);
         assert_eq!(g.compactions(), 1);
@@ -563,13 +453,13 @@ mod tests {
 
     #[test]
     fn edges_iterator_is_sorted_and_complete() {
-        let mut g = DynamicBigraph::with_threshold(sample(), 100.0);
+        let mut g = overlay(100.0);
         g.apply_batch(&[
             EdgeOp::Insert(1, 2),
             EdgeOp::Delete(1, 0),
             EdgeOp::Insert(3, 0),
         ]);
-        let edges: Vec<_> = g.edges().collect();
+        let edges: Vec<_> = g.materialize().edges().collect();
         let mut sorted = edges.clone();
         sorted.sort_unstable();
         assert_eq!(edges, sorted);
@@ -579,49 +469,32 @@ mod tests {
     #[test]
     fn materialize_matches_overlay_under_random_schedule() {
         let base = crate::gen::uniform(20, 15, 60, 3);
-        let mut dynamic = DynamicBigraph::with_threshold(base.clone(), 0.3);
+        let mut dynamic = DynamicBigraph::with_threshold(Arc::new(base.clone()), 0.3);
         let mut reference: BTreeSet<(VertexId, VertexId)> = base.edges().collect();
-        for batch in seeded_schedule(&base, 6, 25, 42) {
+        let (mut nu, mut nv) = (base.num_u(), base.num_v());
+        let mut schedule = seeded_schedule(&base, 6, 25, 42);
+        // One batch that grows both sides past the base.
+        schedule.insert(2, vec![EdgeOp::Insert(23, 2), EdgeOp::Insert(4, 17)]);
+        for batch in schedule {
             let r = dynamic.apply_batch(&batch);
             for &e in &r.inserted {
                 assert!(reference.insert(e), "{e:?} reported inserted twice");
+                nu = nu.max(e.0 as usize + 1);
+                nv = nv.max(e.1 as usize + 1);
             }
             for &e in &r.deleted {
                 assert!(reference.remove(&e), "{e:?} reported deleted twice");
             }
+            // Both sides' rows and sizes, not only the U edge set.
+            let edges: Vec<_> = reference.iter().copied().collect();
             let m = dynamic.materialize();
-            let materialized: BTreeSet<_> = m.edges().collect();
-            assert_eq!(materialized, reference);
+            assert_eq!(m, from_edges(nu, nv, &edges).unwrap());
             assert_eq!(dynamic.num_edges(), reference.len());
             if dynamic.needs_compaction() {
-                dynamic.compact(m);
+                dynamic.compact(Arc::new(m));
             }
         }
         assert!(dynamic.compactions() > 0, "the schedule must compact");
-    }
-
-    #[test]
-    fn degree_and_base_slice_accessors_agree_with_merge() {
-        let base = crate::gen::uniform(20, 15, 60, 3);
-        let mut g = DynamicBigraph::with_threshold(base.clone(), 100.0);
-        for batch in seeded_schedule(&base, 4, 20, 11) {
-            g.apply_batch(&batch);
-        }
-        assert!(g.overlay_len() > 0, "schedule must leave overlay entries");
-        let mut base_only_seen = 0;
-        for u in 0..g.num_u() as VertexId {
-            let merged: Vec<_> = g.neighbors_u(u).collect();
-            assert_eq!(g.degree_u(u), merged.len(), "degree_u({u})");
-            if let Some(slice) = g.base_only_neighbors_u(u) {
-                assert_eq!(slice, &merged[..], "base_only_neighbors_u({u})");
-                base_only_seen += 1;
-            }
-        }
-        assert!(base_only_seen > 0, "some vertices must be overlay-free");
-        // An overlay-touched vertex must refuse the fast slice.
-        let (u, v) = (0, g.num_v() as VertexId + 1);
-        g.apply_batch(&[EdgeOp::Insert(u, v)]);
-        assert!(g.base_only_neighbors_u(u).is_none());
     }
 
     #[test]
@@ -661,7 +534,7 @@ mod tests {
         assert_eq!(a.len(), 4);
         assert!(a.iter().all(|batch| batch.len() == 20));
         // Deletions must always name an edge present at that point.
-        let mut g = DynamicBigraph::with_threshold(g, 100.0);
+        let mut g = DynamicBigraph::with_threshold(Arc::new(g), 100.0);
         for batch in &a {
             for op in batch {
                 if let EdgeOp::Delete(u, v) = *op {

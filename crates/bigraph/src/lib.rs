@@ -18,10 +18,13 @@
 //! * [`compact`] — parallel edge compaction: builds the live subgraph
 //!   from scratch, the oracle that RECEIPT's Dynamic Graph Maintenance
 //!   (§4.2), which drops peeled vertices in place, is tested against.
-//! * [`dynamic`] — batch-dynamic graphs: a delta overlay over the CSR that
-//!   reports when it has outgrown its compaction threshold and folds into
-//!   the CSR its owner materialized, plus the `tipdecomp stream` batch
-//!   file format and seeded insert/delete schedules.
+//! * [`dynamic`] — batch-dynamic graphs: a delta overlay over the CSR
+//!   that answers membership, materializes the current graph by one
+//!   ordered merge in `O(|E| + overlay)` (the butterfly index does so once
+//!   per batch that changes an edge), reports when it has outgrown its
+//!   compaction threshold and takes that materialized CSR as its new
+//!   base, plus the `tipdecomp stream` batch file format and seeded
+//!   insert/delete schedules.
 //! * [`gen`] — seeded synthetic generators (uniform, Zipf configuration
 //!   model, planted bicliques, affiliation model).
 //! * [`datasets`] — six named generator presets standing in for the KONECT

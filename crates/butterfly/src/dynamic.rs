@@ -11,24 +11,24 @@
 //! and a butterfly is credited to the lowest-indexed batch edge it
 //! contains — every changed butterfly is enumerated exactly once even when
 //! several of its edges arrived in the same batch. Losses are enumerated
-//! on the pre-batch graph (a lost butterfly has all four edges there),
-//! gains on the post-batch graph; a butterfly mixing a deleted and an
+//! on the pre-batch CSR (a lost butterfly has all four edges there), gains
+//! on the CSR the batch materializes; a butterfly mixing a deleted and an
 //! inserted edge exists in neither and is correctly ignored.
 //!
 //! Enumeration is embarrassingly parallel over the batch (each batch edge
-//! scans read-only adjacency), so it fans out on the vendored rayon pool;
-//! the per-edge butterfly lists are then applied sequentially in batch
-//! order, keeping every maintained counter deterministic regardless of
-//! thread count.
+//! intersects read-only CSR slices), so it fans out on the vendored rayon
+//! pool; the per-edge butterfly lists are then applied sequentially in
+//! batch order, keeping every maintained counter deterministic regardless
+//! of thread count.
 
 use crate::intersect::{
     intersect_bitset, intersect_gallop, intersect_merge, should_gallop, VertexBitset, BITSET_MIN,
 };
-use crate::VertexCounts;
 use bigraph::dynamic::{BatchApplication, DynamicBigraph, EdgeOp};
 use bigraph::{BipartiteCsr, Side, VertexId};
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// A butterfly `{u, u2} × {v, v2}` touched by a batch edge `(u, v)`.
 type Butterfly = (VertexId, VertexId, VertexId, VertexId);
@@ -67,7 +67,8 @@ impl BatchDelta {
 }
 
 /// Butterfly counts (per vertex, per edge, and total) maintained across
-/// batched updates of the underlying graph.
+/// batched updates of the underlying graph, beside the current graph
+/// itself.
 ///
 /// Per-edge counts live in a flat array aligned with the base CSR's edge
 /// ids ([`BipartiteCsr::edge_index`]) — hub-heavy batches touch the same
@@ -75,9 +76,20 @@ impl BatchDelta {
 /// indexed stores. Only edges the overlay added since the last compaction
 /// fall back to a (small, overlay-bounded) hash map; each compaction folds
 /// them into a freshly aligned array.
+///
+/// Each batch that changes an edge materializes the current graph once
+/// ([`Self::csr`]); its per-edge counts, in that graph's edge order, are
+/// laid out once on first read ([`Self::edge_counts`]). Both are shared:
+/// the tip updates peel the CSR, and a published snapshot holds both
+/// `Arc`s.
 #[derive(Debug, Clone)]
 pub struct DynamicButterflyIndex {
     graph: DynamicBigraph,
+    /// The current graph: the overlay's base with the overlay merged in.
+    csr: Arc<BipartiteCsr>,
+    /// Butterfly count per edge of `csr`, in its edge order; empty until
+    /// the first read after the batch that built `csr`.
+    edge_counts: OnceLock<Arc<Vec<u64>>>,
     counts_u: Vec<u64>,
     counts_v: Vec<u64>,
     /// Butterfly count per base-CSR edge, indexed by
@@ -92,8 +104,6 @@ pub struct DynamicButterflyIndex {
     /// edges in no butterfly are absent (reads default to 0).
     overlay_edge_counts: HashMap<(VertexId, VertexId), u64>,
     total: u64,
-    /// Cumulative enumeration work across all batches.
-    work: u64,
 }
 
 impl DynamicButterflyIndex {
@@ -109,15 +119,17 @@ impl DynamicButterflyIndex {
         // Already CSR-edge-id-aligned — the kernel's output order is the
         // flat array's index space.
         let base_edge_counts = crate::per_edge::par_per_edge_counts(base.view(Side::U));
+        let csr = Arc::new(base);
         DynamicButterflyIndex {
             total: counts.total(),
             counts_u: counts.u,
             counts_v: counts.v,
             nonzero_base: base_edge_counts.iter().filter(|&&c| c > 0).count(),
+            edge_counts: OnceLock::new(),
             base_edge_counts,
             overlay_edge_counts: HashMap::new(),
-            graph: DynamicBigraph::with_threshold(base, threshold),
-            work: 0,
+            graph: DynamicBigraph::with_threshold(Arc::clone(&csr), threshold),
+            csr,
         }
     }
 
@@ -125,9 +137,27 @@ impl DynamicButterflyIndex {
         &self.graph
     }
 
-    /// Materializes the current graph (for oracles and full recomputes).
+    /// The current graph, materialized once per batch that changed an
+    /// edge. Tip updates peel it; snapshots share it.
+    pub fn csr(&self) -> &Arc<BipartiteCsr> {
+        &self.csr
+    }
+
+    /// Every edge's butterfly count, in [`Self::csr`]'s edge order, laid
+    /// out on the first call after a batch that changed an edge.
+    pub fn edge_counts(&self) -> &Arc<Vec<u64>> {
+        // On first read, not in `apply_batch`: the engine reads them for
+        // the snapshot after both tip updates, so they are not resident
+        // during the peels. Built in `apply_batch`, they raised a
+        // 600-batch engine run's peak RSS on the It stream shape by
+        // ~0.35 MiB.
+        self.edge_counts
+            .get_or_init(|| Arc::new(self.merged_edge_counts()))
+    }
+
+    /// A standalone copy of [`Self::csr`].
     pub fn materialize(&self) -> BipartiteCsr {
-        self.graph.materialize()
+        (*self.csr).clone()
     }
 
     pub fn total_butterflies(&self) -> u64 {
@@ -140,53 +170,6 @@ impl DynamicButterflyIndex {
             Side::U => &self.counts_u,
             Side::V => &self.counts_v,
         }
-    }
-
-    /// Maintained counts in the static counter's shape. The
-    /// `wedges_traversed` field carries the cumulative incremental
-    /// enumeration work (initial build not included).
-    pub fn counts(&self) -> VertexCounts {
-        VertexCounts {
-            u: self.counts_u.clone(),
-            v: self.counts_v.clone(),
-            wedges_traversed: self.work,
-        }
-    }
-
-    /// [`Self::materialize`], plus every edge's butterfly count in the
-    /// materialized graph's edge order. One pass beside the base CSR's
-    /// edges: each materialized row is merged with the base's row, so a
-    /// base edge's count is read by position and only edges the base lacks
-    /// probe the overlay map.
-    pub fn materialize_with_edge_counts(&self) -> (BipartiteCsr, Vec<u64>) {
-        let graph = self.materialize();
-        let base = self.graph.base();
-        // Grown, not pre-sized: pre-sizing it raised the peak RSS of 300
-        // butterfly-neutral batches on the It analog by ~1 MiB.
-        let mut counts = Vec::new();
-        // The base's row `u` holds edge ids `row_start..row_start + len`.
-        let mut row_start = 0;
-        for u in 0..graph.num_u() as VertexId {
-            let base_row = if (u as usize) < base.num_u() {
-                base.neighbors_u(u)
-            } else {
-                &[]
-            };
-            let base_counts = &self.base_edge_counts[row_start..row_start + base_row.len()];
-            row_start += base_row.len();
-            let mut j = 0;
-            for &v in graph.neighbors_u(u) {
-                while j < base_row.len() && base_row[j] < v {
-                    j += 1;
-                }
-                counts.push(if base_row.get(j) == Some(&v) {
-                    base_counts[j]
-                } else {
-                    self.overlay_edge_counts.get(&(u, v)).copied().unwrap_or(0)
-                });
-            }
-        }
-        (graph, counts)
     }
 
     /// Butterfly count of edge `(u, v)`; 0 if absent or butterfly-free.
@@ -219,7 +202,7 @@ impl DynamicButterflyIndex {
 
         // Losses: butterflies of the pre-batch graph through each deleted
         // edge, charged to the lowest-indexed deleted edge they contain.
-        let (lost_lists, lost_work) = enumerate_changed(&self.graph, &pre.deleted);
+        let (lost_lists, lost_work) = enumerate_changed(&self.csr, &pre.deleted);
 
         // Compaction is deferred until after patching: the flat per-edge
         // array is indexed by *current* base edge ids, and `apply_batch`
@@ -227,13 +210,18 @@ impl DynamicButterflyIndex {
         let mut application = self.graph.apply_batch(ops);
         debug_assert_eq!(application.inserted, pre.inserted);
         debug_assert_eq!(application.deleted, pre.deleted);
+        // A batch that changes no edge keeps the graph and its counts.
+        if !(pre.inserted.is_empty() && pre.deleted.is_empty()) {
+            self.csr = Arc::new(self.graph.materialize());
+            self.edge_counts = OnceLock::new();
+        }
         // Sides may have grown; new vertices start butterfly-free.
         self.counts_u.resize(self.graph.num_u(), 0);
         self.counts_v.resize(self.graph.num_v(), 0);
 
         // Gains: butterflies of the post-batch graph through each inserted
         // edge, charged to the lowest-indexed inserted edge they contain.
-        let (gained_lists, gained_work) = enumerate_changed(&self.graph, &pre.inserted);
+        let (gained_lists, gained_work) = enumerate_changed(&self.csr, &pre.inserted);
 
         let mut dirty_u: Vec<VertexId> = Vec::new();
         let mut dirty_v: Vec<VertexId> = Vec::new();
@@ -256,10 +244,14 @@ impl DynamicButterflyIndex {
         }
         self.total = self.total + gained - lost;
         let work = lost_work + gained_work;
-        self.work += work;
 
         if self.graph.needs_compaction() {
-            self.compact_and_realign();
+            // Every nonzero count belongs to a present edge, so all of
+            // them land in the new base.
+            self.nonzero_base = self.tracked_edges();
+            self.base_edge_counts = self.edge_counts().to_vec();
+            self.overlay_edge_counts.clear();
+            self.graph.compact(Arc::clone(&self.csr));
             application.compacted = true;
         }
 
@@ -316,17 +308,38 @@ impl DynamicButterflyIndex {
         }
     }
 
-    /// Folds the overlay into a new base CSR and realigns the flat
-    /// per-edge array with the rebuilt edge-id space; one
-    /// [`Self::materialize_with_edge_counts`] merge yields both. Every
-    /// nonzero count belongs to a present edge, so all of them land in
-    /// the new base.
-    fn compact_and_realign(&mut self) {
-        let (graph, counts) = self.materialize_with_edge_counts();
-        self.nonzero_base = self.tracked_edges();
-        self.base_edge_counts = counts;
-        self.overlay_edge_counts.clear();
-        self.graph.compact(graph);
+    /// Every edge's count in [`Self::csr`]'s edge order, in one pass
+    /// beside the base CSR's edges: each row of the current graph is
+    /// merged with the base's row, so a base edge's count is read by
+    /// position and only edges the base lacks probe the overlay map.
+    fn merged_edge_counts(&self) -> Vec<u64> {
+        let base = self.graph.base();
+        // Grown, not pre-sized: pre-sizing it raised the peak RSS of 300
+        // butterfly-neutral batches on the It analog by ~1 MiB.
+        let mut counts = Vec::new();
+        // The base's row `u` holds edge ids `row_start..row_start + len`.
+        let mut row_start = 0;
+        for u in 0..self.csr.num_u() as VertexId {
+            let base_row = if (u as usize) < base.num_u() {
+                base.neighbors_u(u)
+            } else {
+                &[]
+            };
+            let base_counts = &self.base_edge_counts[row_start..row_start + base_row.len()];
+            row_start += base_row.len();
+            let mut j = 0;
+            for &v in self.csr.neighbors_u(u) {
+                while j < base_row.len() && base_row[j] < v {
+                    j += 1;
+                }
+                counts.push(if base_row.get(j) == Some(&v) {
+                    base_counts[j]
+                } else {
+                    self.overlay_edge_counts.get(&(u, v)).copied().unwrap_or(0)
+                });
+            }
+        }
+        counts
     }
 }
 
@@ -336,7 +349,7 @@ impl DynamicButterflyIndex {
 /// order keeps the maintained counts thread-count-independent) plus the
 /// total intersection work.
 fn enumerate_changed(
-    g: &DynamicBigraph,
+    g: &BipartiteCsr,
     batch: &[(VertexId, VertexId)],
 ) -> (Vec<Vec<Butterfly>>, u64) {
     if batch.is_empty() {
@@ -351,11 +364,7 @@ fn enumerate_changed(
             let lower = |a: VertexId, b: VertexId| index.get(&(a, b)).is_some_and(|&j| j < i);
             let mut found: Vec<Butterfly> = Vec::new();
             let mut work = 0u64;
-            // N(u) is re-scanned once per wedge middle; materialize the
-            // base-plus-overlay merge once instead of re-running the
-            // BTreeSet-range merge (and its per-element `removed` lookups)
-            // for every u2.
-            let nu_adj: Vec<VertexId> = g.neighbors_u(u).collect();
+            let nu_adj = g.neighbors_u(u);
             // Hub path: when the batch edge hangs off a high-degree u,
             // build the N(u) membership bitset once and stream every
             // N(u2) against it — O(deg u2) per wedge middle instead of a
@@ -365,7 +374,7 @@ fn enumerate_changed(
                 work += nu_adj.len() as u64;
                 VertexBitset::from_iter(g.num_v(), nu_adj.iter().copied())
             });
-            for u2 in g.neighbors_v(v) {
+            for &u2 in g.neighbors_v(v) {
                 if u2 == u || lower(u2, v) {
                     continue;
                 }
@@ -377,24 +386,15 @@ fn enumerate_changed(
                 // All kernels emit common neighbours in ascending order,
                 // so `found` is kernel-independent and the maintained
                 // counts stay deterministic across heuristic decisions.
+                let nu2_adj = g.neighbors_u(u2);
                 work += if let Some(bits) = &bitset {
-                    intersect_bitset(bits, g.neighbors_u(u2), hit)
+                    intersect_bitset(bits, nu2_adj.iter().copied(), hit)
+                } else if should_gallop(nu_adj.len(), nu2_adj.len()) {
+                    intersect_gallop(nu_adj.iter().copied(), nu2_adj, hit)
+                } else if should_gallop(nu2_adj.len(), nu_adj.len()) {
+                    intersect_gallop(nu2_adj.iter().copied(), nu_adj, hit)
                 } else {
-                    let d2 = g.degree_u(u2);
-                    if should_gallop(nu_adj.len(), d2) {
-                        // Gallop the small materialized N(u) into N(u2) —
-                        // needs random access, so only when u2's adjacency
-                        // is a pure base-CSR slice (no overlay entries).
-                        match g.base_only_neighbors_u(u2) {
-                            Some(big) => intersect_gallop(nu_adj.iter().copied(), big, hit),
-                            None => intersect_merge(nu_adj.iter().copied(), g.neighbors_u(u2), hit),
-                        }
-                    } else if should_gallop(d2, nu_adj.len()) {
-                        // N(u) is the big side and is already a slice.
-                        intersect_gallop(g.neighbors_u(u2), &nu_adj, hit)
-                    } else {
-                        intersect_merge(nu_adj.iter().copied(), g.neighbors_u(u2), hit)
-                    }
+                    intersect_merge(nu_adj.iter().copied(), nu2_adj.iter().copied(), hit)
                 };
             }
             (found, work)
@@ -409,6 +409,7 @@ mod tests {
     use super::*;
     use bigraph::builder::from_edges;
     use bigraph::gen;
+    use std::collections::BTreeSet;
 
     /// Recounts from scratch and compares every maintained quantity.
     fn assert_matches_recount(index: &DynamicButterflyIndex) {
@@ -526,26 +527,51 @@ mod tests {
 
     #[test]
     fn materialized_edge_counts_match_point_queries_after_every_batch() {
-        // The default threshold compacts along the way; 100 never does, so
-        // every added edge's count stays in the overlay map.
-        for threshold in [bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD, 100.0] {
+        // Threshold 0 compacts after every batch that changes an edge and
+        // the default along the way; 100 never does, so every added edge's
+        // count stays in the overlay map.
+        for threshold in [0.0, bigraph::dynamic::DEFAULT_COMPACT_THRESHOLD, 100.0] {
             let g = gen::zipf(50, 40, 250, 0.5, 0.9, 4);
             let schedule = bigraph::dynamic::seeded_schedule(&g, 6, 30, 104);
+            let (nu, nv) = (g.num_u(), g.num_v());
+            let mut reference: BTreeSet<(VertexId, VertexId)> = g.edges().collect();
             let mut index = DynamicButterflyIndex::with_threshold(g, threshold);
             let mut overlay_counted = false;
             for batch in &schedule {
                 index.apply_batch(batch);
+                for &op in batch {
+                    match op {
+                        EdgeOp::Insert(u, v) => reference.insert((u, v)),
+                        EdgeOp::Delete(u, v) => reference.remove(&(u, v)),
+                    };
+                }
                 overlay_counted |= !index.overlay_edge_counts.is_empty();
-                let (graph, counts) = index.materialize_with_edge_counts();
+                let (graph, counts) = (index.csr(), index.edge_counts());
+                let edges: Vec<_> = reference.iter().copied().collect();
+                assert_eq!(**graph, from_edges(nu, nv, &edges).unwrap());
                 let queried: Vec<u64> =
                     graph.edges().map(|(u, v)| index.edge_count(u, v)).collect();
-                assert_eq!(counts, queried, "threshold {threshold}");
+                assert_eq!(**counts, queried, "threshold {threshold}");
                 let fresh = crate::per_edge::per_edge_counts(graph.view(Side::U));
-                assert_eq!(counts, fresh, "threshold {threshold}");
+                assert_eq!(**counts, fresh, "threshold {threshold}");
             }
             let compacted = index.graph().compactions() > 0;
             assert_eq!(compacted, threshold < 100.0, "threshold {threshold}");
             assert!(compacted || overlay_counted, "threshold {threshold}");
+
+            // A batch of only no-ops rebuilds neither the graph nor the
+            // counts.
+            let (graph, counts) = (index.csr().clone(), index.edge_counts().clone());
+            let &(u, v) = reference.first().unwrap();
+            let absent = (0..nv as VertexId).find(|&x| !reference.contains(&(u, x)));
+            let delta =
+                index.apply_batch(&[EdgeOp::Insert(u, v), EdgeOp::Delete(u, absent.unwrap())]);
+            assert_eq!(delta.application.skipped, 2);
+            assert!(Arc::ptr_eq(index.csr(), &graph), "threshold {threshold}");
+            assert!(
+                Arc::ptr_eq(index.edge_counts(), &counts),
+                "threshold {threshold}"
+            );
         }
     }
 
@@ -575,8 +601,7 @@ mod tests {
         ]);
         assert!(delta.work > 0);
         assert_matches_recount(&index);
-        // And once more after the overlay grew (base-only slices now
-        // unavailable for touched vertices — the fallbacks must agree).
+        // And once more after the overlay grew.
         index.apply_batch(&[EdgeOp::Insert(0, 0), EdgeOp::Delete(3, 5)]);
         assert_matches_recount(&index);
     }

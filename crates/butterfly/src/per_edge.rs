@@ -13,45 +13,21 @@
 //! through one edge with one merge walk, so it needs no table of its own.
 
 use bigraph::{SideGraph, VertexId};
+use parutil::ScratchPool;
+use rayon::prelude::*;
+
+/// The dense common-neighbour scratch of one task, reused across its
+/// primary vertices: common-neighbour counts indexed by primary id (all
+/// zero between vertices) and the ids whose count is nonzero.
+type Scratch = (Vec<u32>, Vec<VertexId>);
 
 /// Per-edge butterfly counts, indexed by primary-CSR edge position. Runs in
 /// `O(Σ_u Σ_{v∈N_u} d_v)` with a dense common-neighbour scratch.
 pub fn per_edge_counts(view: SideGraph<'_>) -> Vec<u64> {
-    let np = view.num_primary();
-    let m = view.num_edges();
-    let mut counts = vec![0u64; m];
-    let mut common = vec![0u32; np];
-    let mut touched: Vec<VertexId> = Vec::new();
-
-    let mut base = 0usize;
-    for u in 0..np as VertexId {
-        // Pass 1: common-neighbour counts of u with all 2-hop neighbours.
-        for &v in view.neighbors_primary(u) {
-            for &u2 in view.neighbors_secondary(v) {
-                if u2 != u {
-                    if common[u2 as usize] == 0 {
-                        touched.push(u2);
-                    }
-                    common[u2 as usize] += 1;
-                }
-            }
-        }
-        // Pass 2: each wedge (u, v, u') contributes common(u,u') − 1
-        // butterflies to edge (u, v).
-        for (pos, &v) in view.neighbors_primary(u).iter().enumerate() {
-            let mut b = 0u64;
-            for &u2 in view.neighbors_secondary(v) {
-                if u2 != u {
-                    b += (common[u2 as usize] - 1) as u64;
-                }
-            }
-            counts[base + pos] = b;
-        }
-        base += view.deg_primary(u);
-        for &u2 in &touched {
-            common[u2 as usize] = 0;
-        }
-        touched.clear();
+    let mut counts = vec![0u64; view.num_edges()];
+    let mut scratch = (vec![0; view.num_primary()], Vec::new());
+    for (u, out) in vertex_rows(view, &mut counts).into_iter().enumerate() {
+        vertex_edge_counts(view, u as VertexId, &mut scratch, out);
     }
     counts
 }
@@ -61,58 +37,60 @@ pub fn per_edge_counts(view: SideGraph<'_>) -> Vec<u64> {
 /// vertices parallelize with no atomics; each task checks its dense
 /// scratch out once and reuses it for all of its vertices.
 pub fn par_per_edge_counts(view: SideGraph<'_>) -> Vec<u64> {
-    use parutil::ScratchPool;
-    use rayon::prelude::*;
-
     let np = view.num_primary();
-    let m = view.num_edges();
-    let mut counts = vec![0u64; m];
-    let pool = ScratchPool::new(move || (vec![0u32; np], Vec::<VertexId>::new()));
+    let mut counts = vec![0u64; view.num_edges()];
+    let pool = ScratchPool::new(move || (vec![0; np], Vec::new()));
+    vertex_rows(view, &mut counts)
+        .into_par_iter()
+        .enumerate()
+        .for_each_init(
+            || pool.acquire(),
+            |scratch, (u, out)| vertex_edge_counts(view, u as VertexId, scratch, out),
+        );
+    counts
+}
 
-    // Pre-split the output into per-vertex slices.
-    let mut slices: Vec<&mut [u64]> = Vec::with_capacity(np);
-    {
-        let mut rest: &mut [u64] = &mut counts;
-        for u in 0..np as VertexId {
-            let (head, tail) = rest.split_at_mut(view.deg_primary(u));
-            slices.push(head);
-            rest = tail;
+/// Splits `counts` into each primary vertex's CSR range, in id order.
+fn vertex_rows<'c>(view: SideGraph<'_>, mut counts: &'c mut [u64]) -> Vec<&'c mut [u64]> {
+    (0..view.num_primary() as VertexId)
+        .map(|u| {
+            let (head, tail) = std::mem::take(&mut counts).split_at_mut(view.deg_primary(u));
+            counts = tail;
+            head
+        })
+        .collect()
+}
+
+/// The per-vertex kernel both drivers share: writes the counts of `u`'s
+/// edges to `out`, its CSR range.
+fn vertex_edge_counts(view: SideGraph<'_>, u: VertexId, scratch: &mut Scratch, out: &mut [u64]) {
+    let (common, touched) = scratch;
+    // Pass 1: common-neighbour counts of u with all 2-hop neighbours.
+    for &v in view.neighbors_primary(u) {
+        for &u2 in view.neighbors_secondary(v) {
+            if u2 != u {
+                if common[u2 as usize] == 0 {
+                    touched.push(u2);
+                }
+                common[u2 as usize] += 1;
+            }
         }
     }
-    slices.into_par_iter().enumerate().for_each_init(
-        || pool.acquire(),
-        |guard, (u, out)| {
-            let u = u as VertexId;
-            if out.is_empty() {
-                return;
+    // Pass 2: each wedge (u, v, u') contributes common(u,u') − 1
+    // butterflies to edge (u, v).
+    for (slot, &v) in out.iter_mut().zip(view.neighbors_primary(u)) {
+        let mut b = 0u64;
+        for &u2 in view.neighbors_secondary(v) {
+            if u2 != u {
+                b += (common[u2 as usize] - 1) as u64;
             }
-            let (common, touched) = &mut **guard;
-            for &v in view.neighbors_primary(u) {
-                for &u2 in view.neighbors_secondary(v) {
-                    if u2 != u {
-                        if common[u2 as usize] == 0 {
-                            touched.push(u2);
-                        }
-                        common[u2 as usize] += 1;
-                    }
-                }
-            }
-            for (pos, &v) in view.neighbors_primary(u).iter().enumerate() {
-                let mut b = 0u64;
-                for &u2 in view.neighbors_secondary(v) {
-                    if u2 != u {
-                        b += (common[u2 as usize] - 1) as u64;
-                    }
-                }
-                out[pos] = b;
-            }
-            for &u2 in touched.iter() {
-                common[u2 as usize] = 0;
-            }
-            touched.clear();
-        },
-    );
-    counts
+        }
+        *slot = b;
+    }
+    for &u2 in touched.iter() {
+        common[u2 as usize] = 0;
+    }
+    touched.clear();
 }
 
 /// Total butterflies from edge counts: each butterfly contains 4 edges.

@@ -11,16 +11,16 @@
 //!   set implies the whole decomposition is untouched (new vertices join
 //!   with tip 0).
 //! * **`SeededRepeel`** — the dirty frontier (vertices on a changed
-//!   butterfly) is small: re-peel the materialized graph with
-//!   [`crate::bup::peel_live`], seeded with the incrementally maintained
-//!   butterfly counts. Skipping the recount saves only its 18 ms on the
-//!   It analog's U side. The saving is in the peel, which walks each
-//!   wedge from one end only and probes hub lists instead of scanning
-//!   them: about a fifth of `peel_all`'s wedges there.
+//!   butterfly) is small: re-peel the index's current graph
+//!   ([`DynamicButterflyIndex::csr`]) with [`crate::bup::peel_live`],
+//!   seeded with the incrementally maintained butterfly counts. Skipping
+//!   the recount saves only its 18 ms on the It analog's U side. The
+//!   saving is in the peel, which walks each wedge from one end only and
+//!   probes hub lists instead of scanning them: about a fifth of
+//!   `peel_all`'s wedges there.
 //! * **`FullRecompute`** — the dirty fraction crossed the threshold: the
 //!   maintained counts no longer buy much, so fall back to the full
-//!   parallel [`crate::tip_decompose`] (CD + FD) on the materialized
-//!   graph.
+//!   parallel [`crate::tip_decompose`] (CD + FD) on that same graph.
 
 use crate::bup::peel_live;
 use crate::Config;
@@ -116,8 +116,11 @@ impl DynamicTipState {
         config: Config,
         dirty_threshold: f64,
     ) -> Self {
-        let g = index.materialize();
-        let (tip, _) = peel_live(g.view(side), index.counts_side(side), config.heap_arity);
+        let (tip, _) = peel_live(
+            index.csr().view(side),
+            index.counts_side(side),
+            config.heap_arity,
+        );
         DynamicTipState {
             side,
             config,
@@ -159,13 +162,12 @@ impl DynamicTipState {
         let (policy, wedges) = if dirty == 0 {
             (UpdatePolicy::Unchanged, 0)
         } else if dirty_fraction > self.dirty_threshold {
-            let d = crate::tip_decompose(&index.materialize(), self.side, &self.config);
+            let d = crate::tip_decompose(index.csr(), self.side, &self.config);
             self.tip = d.tip;
             (UpdatePolicy::FullRecompute, d.metrics.wedges_total())
         } else {
-            let g = index.materialize();
             let (tip, wedges) = peel_live(
-                g.view(self.side),
+                index.csr().view(self.side),
                 index.counts_side(self.side),
                 self.config.heap_arity,
             );
@@ -198,17 +200,25 @@ pub struct ScratchArtifacts {
 /// everything from scratch on the materialized graph and compares every
 /// maintained quantity —
 ///
+/// * the index's materialized graph against the overlay's edge set,
 /// * per-vertex butterfly counts (both sides) and the total,
-/// * per-edge counts, including that no stale entry survives for an
-///   absent or butterfly-free edge,
+/// * per-edge counts, point queries and the array a snapshot publishes
+///   alike, including that no stale entry survives for an absent or
+///   butterfly-free edge,
 /// * tip numbers of every supplied [`DynamicTipState`] against
 ///   [`crate::bup::bup_decompose`].
 pub fn verify_against_scratch(
     index: &butterfly::DynamicButterflyIndex,
     states: &[&DynamicTipState],
 ) -> Result<ScratchArtifacts, String> {
-    let g = index.materialize();
-    let fresh = butterfly::par_count_graph(&g);
+    let (g, overlay) = (index.csr(), index.graph());
+    if (g.num_u(), g.num_v(), g.num_edges())
+        != (overlay.num_u(), overlay.num_v(), overlay.num_edges())
+        || !g.edges().all(|(u, v)| overlay.has_edge(u, v))
+    {
+        return Err("materialized graph diverged from the overlay".into());
+    }
+    let fresh = butterfly::par_count_graph(g);
     if index.counts_side(Side::U) != &fresh.u[..] {
         return Err("incremental U-side butterfly counts diverged from recount".into());
     }
@@ -230,6 +240,9 @@ pub fn verify_against_scratch(
             ));
         }
     }
+    if index.edge_counts()[..] != per_edge[..] {
+        return Err("per-edge counts in the graph's edge order diverged from recount".into());
+    }
     let nonzero = per_edge.iter().filter(|&&c| c > 0).count();
     if index.tracked_edges() != nonzero {
         return Err(format!(
@@ -240,7 +253,7 @@ pub fn verify_against_scratch(
     }
     let mut peel_wedges = 0;
     for state in states {
-        let oracle = crate::bup::bup_decompose(&g, state.side(), 4);
+        let oracle = crate::bup::bup_decompose(g, state.side(), 4);
         if state.tip() != &oracle.tip[..] {
             return Err(format!(
                 "incremental {} tip numbers diverged from BUP",

@@ -5,9 +5,10 @@
 //! [`DynamicButterflyIndex`] + two [`DynamicTipState`]s and called their
 //! update methods in the right order. [`StreamEngine`] owns that triple
 //! behind a single `apply_batch` entry point and, after every batch,
-//! publishes an immutable [`EngineSnapshot`] — compacted adjacency,
-//! per-vertex and per-edge butterfly counts, both sides' tip numbers —
-//! stamped with a monotonically increasing epoch.
+//! publishes an immutable [`EngineSnapshot`] — the index's current CSR
+//! and per-edge butterfly counts (shared, not copied), per-vertex counts,
+//! both sides' tip numbers — stamped with a monotonically increasing
+//! epoch.
 //!
 //! The publication discipline is the Polynesia-style update/read split:
 //! writers serialize on a `Mutex` around the mutable triple; the snapshot
@@ -113,17 +114,17 @@ struct EngineCore {
 }
 
 impl EngineCore {
+    /// Shares the index's graph and per-edge counts and copies the rest.
     fn snapshot(&self) -> EngineSnapshot {
-        let (graph, edge_counts) = self.index.materialize_with_edge_counts();
         EngineSnapshot {
             epoch: self.epoch,
+            graph: Arc::clone(self.index.csr()),
             counts_u: self.index.counts_side(Side::U).to_vec(),
             counts_v: self.index.counts_side(Side::V).to_vec(),
-            edge_counts,
+            edge_counts: Arc::clone(self.index.edge_counts()),
             total_butterflies: self.index.total_butterflies(),
             tip_u: self.tip_u.tip().to_vec(),
             tip_v: self.tip_v.tip().to_vec(),
-            graph,
         }
     }
 }
@@ -446,6 +447,27 @@ mod tests {
         assert_eq!(before.total_butterflies(), 0);
         assert_eq!(engine.snapshot().total_butterflies(), 1);
         assert!(outcome.scratch.is_some());
+    }
+
+    #[test]
+    fn no_op_batch_publishes_the_previous_graph() {
+        let g = from_edges(3, 2, &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]).unwrap();
+        let engine = verifying(g);
+        let before = engine.snapshot();
+        // An insert of a present edge and a delete of an absent one.
+        let outcome = engine
+            .apply_batch(&[EdgeOp::Insert(0, 0), EdgeOp::Delete(2, 1)])
+            .unwrap();
+        assert_eq!(outcome.delta.application.skipped, 2);
+        let after = engine.snapshot();
+        assert_eq!(after.epoch(), 1);
+        assert!(std::ptr::eq(after.graph(), before.graph()));
+        assert!(std::ptr::eq(after.edge_counts(), before.edge_counts()));
+        let outcome = engine.apply_batch(&[EdgeOp::Insert(2, 1)]).unwrap();
+        assert_eq!(outcome.delta.gained, 2);
+        let changed = engine.snapshot();
+        assert!(!std::ptr::eq(changed.graph(), after.graph()));
+        assert_eq!(changed.graph().num_edges(), 6);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! [`StreamEngine`]: crate::engine::StreamEngine
 
 use bigraph::{BipartiteCsr, Side, VertexId};
+use std::sync::Arc;
 
 /// A vertex of a top-k densest query: ranked by tip number, ties broken by
 /// butterfly count then ascending id, so the ordering is deterministic.
@@ -28,15 +29,17 @@ pub struct DenseVertex {
 
 /// An immutable, internally consistent view of the decomposition after a
 /// given batch. Cheap to share (`Arc`), never mutated after publication.
+/// The graph and the per-edge counts are the butterfly index's own `Arc`s,
+/// so consecutive snapshots of a batch that changed no edge share them.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     pub(crate) epoch: u64,
-    pub(crate) graph: BipartiteCsr,
+    pub(crate) graph: Arc<BipartiteCsr>,
     pub(crate) counts_u: Vec<u64>,
     pub(crate) counts_v: Vec<u64>,
     /// Per-edge butterfly counts aligned with `graph`'s CSR edge ids
     /// ([`BipartiteCsr::edge_index`]).
-    pub(crate) edge_counts: Vec<u64>,
+    pub(crate) edge_counts: Arc<Vec<u64>>,
     pub(crate) total_butterflies: u64,
     pub(crate) tip_u: Vec<u64>,
     pub(crate) tip_v: Vec<u64>,
